@@ -78,8 +78,9 @@ func (fc *figureClock) finish() {
 
 // catalogChild regenerates the -full catalog in this (fresh) process,
 // as `cmd/figures -full` does, and reports on stdout: first a "ready"
-// line when set-up is over, then the catalogReport.
-func catalogChild(fleetSeed uint64, traced bool, run string) error {
+// line when set-up is over, then the catalogReport. With setupOnly it
+// exits after the ready line.
+func catalogChild(fleetSeed uint64, traced, setupOnly bool, run string) error {
 	s := figures.NewSession(fullConfig(fleetSeed))
 	var tr *tracer
 	if traced {
@@ -87,6 +88,9 @@ func catalogChild(fleetSeed uint64, traced bool, run string) error {
 	}
 	before := localStats()
 	fmt.Println("ready")
+	if setupOnly {
+		return nil
+	}
 	root := tr.begin("catalog", 0)
 	fc := newFigureClock(tr, root)
 	t0 := time.Now()
@@ -161,6 +165,13 @@ func spawn(args ...string) (childRun, error) {
 		return cr, fmt.Errorf("child %v: first line %q, want ready", args, line)
 	}
 	return cr, nil
+}
+
+// catalogSetup times a catalog child's set-up alone: the child runs the
+// catalog child's code up to its ready line, and exits there.
+func catalogSetup(fleetSeed uint64) (time.Duration, error) {
+	cr, err := spawn("-child", "catalog", "-fleet-seed", strconv.FormatUint(fleetSeed, 10), "-setup-only")
+	return cr.Setup, err
 }
 
 // runCatalogChild regenerates one catalog in a child process.

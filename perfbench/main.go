@@ -66,23 +66,19 @@ func run() error {
 		seed      = flag.Uint64("seed", 1, "workload seed; the same seed gives the same inputs")
 		seconds   = flag.Int("seconds", 25, "how long the run measures")
 		trace     = flag.Int("trace", 0, "1 = traced run reporting the per-layer metrics")
-		child     = flag.String("child", "", "internal: run as a child process (catalog, probes, setup, ready)")
+		child     = flag.String("child", "", "internal: run as a child process (catalog, probes)")
 		fleetSeed = flag.Uint64("fleet-seed", 0, "internal: the catalog child's fleet seed")
+		setupOnly = flag.Bool("setup-only", false, "internal: the catalog child exits after set-up")
 		runID     = flag.String("run", "", "internal: run id of the parent run")
 		mint      = flag.String("mint", "", "print a fresh oracle table (catalog, hot or cold) and exit")
 	)
 	flag.Parse()
 	switch *child {
 	case "":
-	case "ready":
-		fmt.Println("ready")
-		return nil
 	case "catalog":
-		return catalogChild(*fleetSeed, *trace == 1, *runID)
+		return catalogChild(*fleetSeed, *trace == 1, *setupOnly, *runID)
 	case "probes":
 		return probesChild(*runID)
-	case "setup":
-		return setupChild(*seed)
 	default:
 		return fmt.Errorf("unknown child %q", *child)
 	}

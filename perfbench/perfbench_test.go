@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,8 +93,11 @@ func must(t *testing.T) func([]op, error) []op {
 }
 
 // TestFlippedByteIsDetected serves every kind of operation through a
-// proxy that flips one bit of each response body: each must fail its
-// oracle check, and pass without the flip.
+// proxy that flips one bit of the bytes the oracle covers: a plain
+// response body, a job's fetched result, or a stream payload (whose
+// summary hash the proxy rewrites to match, so that the stream stays
+// well-formed). Each must fail its oracle check, and pass without the
+// flip.
 func TestFlippedByteIsDetected(t *testing.T) {
 	srv, err := service.New(service.Options{})
 	if err != nil {
@@ -101,7 +109,15 @@ func TestFlippedByteIsDetected(t *testing.T) {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, r)
 		body := rec.Body.Bytes()
-		if flip && len(body) > 0 && r.URL.Path != "/v1/jobs" {
+		switch {
+		case !flip || rec.Code != http.StatusOK:
+		case strings.HasPrefix(r.URL.Path, "/v1/stream/"):
+			body = flipStreamPayload(t, body)
+		case strings.HasPrefix(r.URL.Path, "/v1/jobs"):
+			if strings.HasSuffix(r.URL.Path, "/result") {
+				body[len(body)/2] ^= 0x01
+			}
+		default:
 			body[len(body)/2] ^= 0x01
 		}
 		for k, v := range rec.Header() {
@@ -134,14 +150,58 @@ func TestFlippedByteIsDetected(t *testing.T) {
 		flip = f
 		for _, o := range ops {
 			res := execOp(c, proxy.URL, o, "")
-			if f && res.Err == nil {
-				t.Errorf("flipped byte in %s %s went undetected", o.Method, o.Path)
+			if f && !errors.Is(res.Err, errOracleMismatch) {
+				t.Errorf("flipped byte in %s %s: got error %v, want an oracle mismatch", o.Method, o.Path, res.Err)
 			}
 			if !f && res.Err != nil {
 				t.Errorf("%s %s: %v", o.Method, o.Path, res.Err)
 			}
 		}
 	}
+}
+
+// flipStreamPayload flips one bit of the first non-empty payload of an
+// NDJSON stream and rewrites the summary line's sha256 to the hash of
+// the changed payload, so only the oracle can tell.
+func flipStreamPayload(t *testing.T, body []byte) []byte {
+	t.Helper()
+	lines := bytes.Split(bytes.TrimRight(body, "\n"), []byte("\n"))
+	frames := make([]map[string]any, len(lines))
+	payload := sha256.New()
+	flipped := false
+	for i, l := range lines {
+		d := json.NewDecoder(bytes.NewReader(l))
+		d.UseNumber()
+		if err := d.Decode(&frames[i]); err != nil {
+			t.Fatalf("stream line %d: %v", i, err)
+		}
+		p, _ := frames[i]["payload"].(string)
+		if !flipped && p != "" {
+			b := []byte(p)
+			b[len(b)/2] ^= 0x01 // payloads are ASCII JSON, so this stays valid text
+			p, flipped = string(b), true
+			frames[i]["payload"] = p
+		}
+		payload.Write([]byte(p))
+	}
+	if !flipped {
+		t.Fatal("stream has no payload to flip")
+	}
+	last := frames[len(frames)-1]
+	if last["kind"] != "summary" {
+		t.Fatalf("stream ends on %v, want a summary line", last["kind"])
+	}
+	last["sha256"] = hex.EncodeToString(payload.Sum(nil))
+	var out bytes.Buffer
+	for _, f := range frames {
+		b, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(b)
+		out.WriteByte('\n')
+	}
+	return out.Bytes()
 }
 
 // TestMetricNamesMatchBenchmarkJSON checks the declared metric lists

@@ -342,10 +342,7 @@ func probeServing(tr *tracer, root int, m map[string]metric) error {
 }
 
 func verifyBody(o op, body []byte) error {
-	if sum := sha256Hex(body); !matches(sum, o.Oracle) {
-		return fmt.Errorf("oracle mismatch on %s %s %s: sha256 %s, pinned %s", o.Method, o.Path, o.Body, sum, o.Oracle)
-	}
-	return nil
+	return checkOracle(o, sha256Hex(body))
 }
 
 // remoteSweep sends a sweep with every shard forced onto a peer.

@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +36,9 @@ type replicaSet struct {
 	srvs  []*service.Server
 	https []*http.Server
 	wg    sync.WaitGroup
+	// trace, when set, records a span around every request a replica
+	// handles (see handlerSpans).
+	trace atomic.Pointer[tracer]
 }
 
 // bootReplicas starts n servers on loopback. Every server runs
@@ -66,7 +72,7 @@ func bootReplicas(n int) (*replicaSet, error) {
 			rs.close()
 			return nil, err
 		}
-		hs := &http.Server{Handler: srv}
+		hs := &http.Server{Handler: handlerSpans(srv, &rs.trace)}
 		rs.srvs, rs.https = append(rs.srvs, srv), append(rs.https, hs)
 		rs.wg.Add(1)
 		go func() {
@@ -144,12 +150,58 @@ func getJSON(hc *http.Client, url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
+// spanHeader carries the id of the client span a request belongs to, so
+// that the span recorded around the server's handler can name it as its
+// parent. The server ignores the header.
+const spanHeader = "X-Perfbench-Span"
+
+// handlerSpans wraps a replica's handler: while a tracer is set, each
+// request it handles is recorded as a "service.handle" span, a child of
+// the client span named in spanHeader. Everything the handler calls
+// runs inside that span uninstrumented.
+func handlerSpans(h http.Handler, slot *atomic.Pointer[tracer]) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		tr := slot.Load()
+		if tr == nil {
+			h.ServeHTTP(w, r)
+			return
+		}
+		parent, _ := strconv.Atoi(r.Header.Get(spanHeader))
+		id := tr.begin("service.handle", parent)
+		h.ServeHTTP(w, r)
+		tr.end(id)
+	})
+}
+
+// spanTransport sets spanHeader on every request of the client span
+// current on its client (0: none).
+type spanTransport struct {
+	*http.Transport
+	cur atomic.Int64
+}
+
+func (t *spanTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if id := t.cur.Load(); id != 0 {
+		r = r.Clone(r.Context())
+		r.Header.Set(spanHeader, strconv.FormatInt(id, 10))
+	}
+	return t.Transport.RoundTrip(r)
+}
+
+// setSpan makes span id the parent of the handler spans of c's next
+// requests.
+func setSpan(c *loadgen.Client, id int) {
+	if st, ok := c.HTTP.Transport.(*spanTransport); ok {
+		st.cur.Store(int64(id))
+	}
+}
+
 // newClients returns the closed loop's clients, each on its own
 // transport holding at most one connection per replica.
 func newClients() []*loadgen.Client {
 	out := make([]*loadgen.Client, clients)
 	for i := range out {
-		tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1, DisableCompression: true}
+		tr := &spanTransport{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1, DisableCompression: true}}
 		out[i] = &loadgen.Client{
 			HTTP:         &http.Client{Transport: tr, Timeout: time.Minute},
 			PollInterval: 2 * time.Millisecond,
@@ -173,11 +225,9 @@ type outcome struct {
 	Err     error         // non-2xx, transport error, or oracle mismatch
 }
 
-// tally aggregates outcomes without keeping them, so that a run's own
-// bookkeeping stays small next to the server's memory.
+// tally aggregates outcomes without keeping them.
 type tally struct {
 	n, failed int
-	lat       []time.Duration // successful operations only
 	kinds     map[string]int
 	errs      []string // the first few failures
 }
@@ -193,15 +243,12 @@ func (t *tally) add(o outcome) {
 		if len(t.errs) < 5 {
 			t.errs = append(t.errs, o.Err.Error())
 		}
-		return
 	}
-	t.lat = append(t.lat, o.Latency)
 }
 
 func (t *tally) merge(u tally) {
 	t.n += u.n
 	t.failed += u.failed
-	t.lat = append(t.lat, u.lat...)
 	for k, v := range u.kinds {
 		if t.kinds == nil {
 			t.kinds = map[string]int{}
@@ -213,6 +260,66 @@ func (t *tally) merge(u tally) {
 			t.errs = append(t.errs, e)
 		}
 	}
+}
+
+// latencyCap is how many latencies a run keeps at a time: 1 MiB of
+// samples.
+const latencyCap = 1 << 17
+
+// latencies keeps a uniform sample of at most latencyCap successful
+// operations' latencies (reservoir sampling), in a buffer allocated and
+// written once up front. The benchmark's own memory is thus the same
+// however many requests the server answers, and peak RSS does not grow
+// with throughput. A timed part of serve-hot sends ~30k-45k requests
+// and serve-cold's a few hundred, so each part's are all kept.
+type latencies struct {
+	mu   sync.Mutex
+	n    int // latencies offered
+	buf  []time.Duration
+	pick *rand.Rand
+}
+
+func newLatencies() *latencies {
+	buf := make([]time.Duration, latencyCap)
+	for i := range buf {
+		buf[i] = 1 // fault every page in now
+	}
+	return &latencies{buf: buf[:0], pick: rand.New(rand.NewPCG(1, 2))}
+}
+
+// cut returns how many latencies were offered since the last cut and
+// the p50 and p99, in milliseconds, of those kept, and forgets them.
+func (l *latencies) cut() (n int, p50, p99 float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := loadgen.SortDurations(l.buf)
+	n, p50, p99 = l.n, float64(loadgen.Percentile(s, 0.50))/1e6, float64(loadgen.Percentile(s, 0.99))/1e6
+	l.n, l.buf = 0, l.buf[:0]
+	return n, p50, p99
+}
+
+func (l *latencies) add(d time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.n++
+	if len(l.buf) < latencyCap {
+		l.buf = append(l.buf, d)
+	} else if j := l.pick.IntN(l.n); j < latencyCap {
+		l.buf[j] = d
+	}
+}
+
+// errOracleMismatch marks an operation whose bytes differ from its
+// pinned hash.
+var errOracleMismatch = errors.New("oracle mismatch")
+
+// checkOracle reports an observed hex sha256 that does not satisfy o's
+// oracle as an errOracleMismatch.
+func checkOracle(o op, sum string) error {
+	if matches(sum, o.Oracle) {
+		return nil
+	}
+	return fmt.Errorf("%w on %s %s %s: sha256 %s, pinned %s", errOracleMismatch, o.Method, o.Path, o.Body, sum, o.Oracle)
 }
 
 // execOp sends one operation and checks its bytes against the oracle.
@@ -254,9 +361,7 @@ func execOp(c *loadgen.Client, base string, o op, key string) outcome {
 	if sum == "" {
 		sum = sha256Hex(body)
 	}
-	if !matches(sum, o.Oracle) {
-		out.Err = fmt.Errorf("oracle mismatch on %s %s %s: sha256 %s, pinned %s", o.Method, o.Path, o.Body, sum, o.Oracle)
-	}
+	out.Err = checkOracle(o, sum)
 	return out
 }
 
@@ -277,25 +382,14 @@ type loopResult struct {
 // closedLoop runs the clients for dur over ops starting at index from,
 // against the server at base: each client sends its next request only
 // after the previous one completed. With wrap the sequence repeats;
-// otherwise the loop stops at its end. Each operation
-// is recorded as a span under parent when tr is non-nil.
-//
-// Each client's latency buffer holds capHint samples up front and is
-// written once, so it is resident from the start: growing it by
-// doubling, or leaving it to fault in, made the peak RSS jump between
-// runs.
-func closedLoop(cs []*loadgen.Client, base string, ops []op, from int, wrap bool, dur time.Duration, capHint int, tr *tracer, parent int) loopResult {
+// otherwise the loop stops at its end. Successful operations' latencies
+// go to lat, unless it is nil. Each operation is recorded as a span
+// under parent when tr is non-nil.
+func closedLoop(cs []*loadgen.Client, base string, ops []op, from int, wrap bool, dur time.Duration, lat *latencies, tr *tracer, parent int) loopResult {
 	var next atomic.Int64
 	next.Store(int64(from))
 	var exhausted atomic.Bool
 	results := make([]tally, len(cs))
-	for i := range results {
-		buf := make([]time.Duration, capHint)
-		for j := range buf {
-			buf[j] = 1
-		}
-		results[i].lat = buf[:0]
-	}
 	var wg sync.WaitGroup
 	start := time.Now()
 	for ci, c := range cs {
@@ -311,19 +405,19 @@ func closedLoop(cs []*loadgen.Client, base string, ops []op, from int, wrap bool
 				}
 				o := ops[i%len(ops)]
 				id := tr.begin("op."+o.Kind, parent)
+				setSpan(c, id)
 				res := execOp(c, base, o, key)
 				tr.end(id)
 				results[ci].add(res)
+				if res.Err == nil && lat != nil {
+					lat.add(res.Latency)
+				}
 			}
+			setSpan(c, 0)
 		}()
 	}
 	wg.Wait()
 	lr := loopResult{Elapsed: time.Since(start), Exhausted: exhausted.Load()}
-	n := 0
-	for _, t := range results {
-		n += len(t.lat)
-	}
-	lr.lat = make([]time.Duration, 0, n) // one exact allocation, so memory tracks the sample count
 	for _, t := range results {
 		lr.merge(t)
 	}

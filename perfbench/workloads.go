@@ -6,8 +6,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"gpuvar/internal/figures"
@@ -65,24 +63,18 @@ var perLayer = [][2]string{
 	{"runtime.alloc_bytes_per_op", "B"},
 	{"runtime.gc_cpu_frac", "fraction"},
 	{"op.self_ms", "ms"},
-	{"cluster.self_ms", "ms"},
-	{"sim.self_ms", "ms"},
-	{"core.self_ms", "ms"},
-	{"figures.self_ms", "ms"},
-	{"engine.self_ms", "ms"},
-	{"estimate.self_ms", "ms"},
 	{"service.self_ms", "ms"},
-	{"http.self_ms", "ms"},
-	{"stream.self_ms", "ms"},
-	{"jobs.self_ms", "ms"},
-	{"dispatch.self_ms", "ms"},
 	{"trace.spans", "count"},
 	{"trace.overhead_frac", "fraction"},
 }
 
-// selfTimeLayers are the layers whose span self time a traced run
-// reports (as <layer>.self_ms); "op" is the workload's own operations.
-var selfTimeLayers = []string{"op", "cluster", "sim", "core", "figures", "engine", "estimate", "service", "http", "stream", "jobs", "dispatch"}
+// selfTimeLayers are the layers whose self time, over the workload's
+// own spans, a traced run reports (as <layer>.self_ms): "op" is the
+// client operations, less the server handler spans inside them;
+// "service" is those handler spans, which hold everything the program
+// does for a request. The probes' spans are leaf calls, whose times are
+// the probe metrics themselves, so they are left out.
+var selfTimeLayers = []string{"op", "service"}
 
 func expectedMetrics(trace bool) []string {
 	list := endToEnd
@@ -160,9 +152,14 @@ func probesChild(run string) error {
 	return json.NewEncoder(os.Stdout).Encode(probeReport{Metrics: m, Spans: tr.snapshot()})
 }
 
-// finishTrace runs the layer probes in a fresh child process, adds
-// their metrics and spans, and the self time of every layer.
+// finishTrace adds the self times of the workload's spans in tr, then
+// runs the layer probes in a fresh child process and adds their metrics
+// and spans.
 func finishTrace(cfg runConfig, tr *tracer, overhead float64, out *runOut) error {
+	self := selfTimes(tr.snapshot())
+	for _, l := range selfTimeLayers {
+		out.metrics[l+".self_ms"] = metric{ms(self[l]), "ms"}
+	}
 	cr, err := spawn("-child", "probes", "-run", cfg.run)
 	if err != nil {
 		return err
@@ -176,14 +173,14 @@ func finishTrace(cfg runConfig, tr *tracer, overhead float64, out *runOut) error
 	}
 	tr.adopt(pr.Spans, 0)
 	out.spans = tr.snapshot()
-	self := selfTimes(out.spans)
-	for _, l := range selfTimeLayers {
-		out.metrics[l+".self_ms"] = metric{ms(self[l]), "ms"}
-	}
 	out.metrics["trace.spans"] = metric{float64(len(out.spans)), "count"}
 	out.metrics["trace.overhead_frac"] = metric{overhead, "fraction"}
 	return nil
 }
+
+// spareSetups is how many set-up-only catalog children follow each
+// catalog of a run.
+const spareSetups = 10
 
 func runCatalog(cfg runConfig) (*runOut, error) {
 	fleetSeed := cfg.seed % catalogSeeds
@@ -229,17 +226,14 @@ func runCatalog(cfg runConfig) (*runOut, error) {
 		return out, finishTrace(cfg, tr, t.WallS/u.WallS-1, out)
 	}
 
-	// Set-up is process start to the catalog's first figure: runtime
-	// and package initialisation plus session construction. A few
-	// children that only start add samples for the median.
+	// Set-up is a catalog child's start to its ready line, which it
+	// prints once figures.NewSession has returned, just before the first
+	// figure: process start, runtime and package initialisation, and
+	// session construction, as a `cmd/figures` user waits for them. It
+	// takes ~4 ms, so one sample is mostly process-start jitter: after
+	// each catalog, spareSetups more children run the same set-up and
+	// exit, and setup_s is the median of all.
 	var setups, walls, peaks, figs []float64
-	for i := 0; i < 9; i++ {
-		cr, err := spawn("-child", "ready")
-		if err != nil {
-			return nil, err
-		}
-		setups = append(setups, cr.Setup.Seconds())
-	}
 	start := time.Now()
 	// Another catalog starts while it would end no more than half a
 	// catalog past the run's time.
@@ -249,6 +243,13 @@ func runCatalog(cfg runConfig) (*runOut, error) {
 			return nil, err
 		}
 		setups = append(setups, cr.Setup.Seconds())
+		for i := 0; i < spareSetups; i++ {
+			d, err := catalogSetup(fleetSeed)
+			if err != nil {
+				return nil, err
+			}
+			setups = append(setups, d.Seconds())
+		}
 		walls = append(walls, rep.WallS)
 		peaks = append(peaks, cr.PeakMB)
 		if check(rep) {
@@ -280,7 +281,7 @@ func runCatalog(cfg runConfig) (*runOut, error) {
 	out.metrics["p99_ms"] = metric{quantileMS(lat, 0.99), "ms"}
 	out.metrics["peak_rss_mb"] = metric{median(peaks), "MB"}
 	out.report["catalogs"], out.report["wall_s_samples"] = len(walls), walls
-	out.report["setup_samples"], out.report["latency_samples"] = len(setups), len(figs)
+	out.report["setup_samples"], out.report["latency_samples"] = setups, len(figs)
 	return out, nil
 }
 
@@ -316,7 +317,12 @@ var (
 const settle = 2 * time.Second
 
 // setupSamples is how many set-ups a serving run times; setup_s is
-// their median.
+// their median. The first is the run's own. The timed loop then runs in
+// setupSamples-1 equal parts, and after each a spare server is set up
+// the same way and timed, outside the timed window. A shared 2-vCPU
+// VM's speed moves on a scale of seconds, so set-ups taken one after another
+// all land on one moment's speed; spread over the run, they see the
+// same mix of speeds as the timed operations.
 const setupSamples = 11
 
 // setUp boots the workload's server and, for serve-hot, runs the
@@ -336,28 +342,6 @@ func setUp(w serveWorkload, ops []op, c *loadgen.Client) (*replicaSet, tally, ti
 	return rs, warm, time.Since(t0), nil
 }
 
-// setupChild runs serve-hot's set-up in a fresh process and reports
-// its duration in seconds after the ready line.
-func setupChild(seed uint64) error {
-	ops, err := hotWorkload.sequence(seed)
-	if err != nil {
-		return err
-	}
-	fmt.Println("ready")
-	c := newClients()[0]
-	defer closeClients([]*loadgen.Client{c})
-	rs, warm, d, err := setUp(hotWorkload, ops, c)
-	if err != nil {
-		return err
-	}
-	rs.close()
-	if warm.failed > 0 {
-		return fmt.Errorf("warm-up: %v", warm.errs)
-	}
-	fmt.Println(d.Seconds())
-	return nil
-}
-
 func runServe(cfg runConfig, w serveWorkload) (*runOut, error) {
 	ops, err := w.sequence(cfg.seed)
 	if err != nil {
@@ -367,37 +351,16 @@ func runServe(cfg runConfig, w serveWorkload) (*runOut, error) {
 	cs := newClients()
 	defer closeClients(cs)
 
-	// The run uses the last of its set-ups. serve-hot's warm-up would
-	// find the fleets and calibrations of an earlier one cached in this
-	// process, so its other samples come from fresh child processes.
-	var setups []float64
-	if w.warm {
-		for i := 1; i < setupSamples; i++ {
-			cr, err := spawn("-child", "setup", "-seed", strconv.FormatUint(cfg.seed, 10))
-			if err != nil {
-				return nil, err
-			}
-			v, err := strconv.ParseFloat(strings.TrimSpace(string(cr.Output)), 64)
-			if err != nil {
-				return nil, fmt.Errorf("setup child: %w", err)
-			}
-			setups = append(setups, v)
-		}
-	}
-	var rs *replicaSet
-	var warm tally
-	for len(setups) < setupSamples {
-		if rs != nil {
-			rs.close()
-		}
-		var d time.Duration
-		if rs, warm, d, err = setUp(w, ops, cs[0]); err != nil {
-			return nil, err
-		}
-		setups = append(setups, d.Seconds())
+	// The generator's garbage is collected first, so the set-up does not
+	// pay for it.
+	runtime.GC()
+	rs, warm, d0, err := setUp(w, ops, cs[0])
+	if err != nil {
+		return nil, err
 	}
 	defer rs.close()
-	settled := closedLoop(cs, rs.bases[0], ops, 0, w.wrap, settle, 0, nil, 0)
+	setups := []float64{d0.Seconds()}
+	settled := closedLoop(cs, rs.bases[0], ops, 0, w.wrap, settle, nil, nil, 0)
 	next := settled.n
 	runtime.GC()
 	before, err := readServeStats(rs)
@@ -406,10 +369,20 @@ func runServe(cfg runConfig, w serveWorkload) (*runOut, error) {
 	}
 	var tr *tracer
 	var phases []loopResult
+	// lat[0] holds the timed latencies; a traced run keeps the traced
+	// blocks' in lat[1].
+	lat := [2]*latencies{newLatencies()}
+	// An untraced run reports the median over its timed parts of each
+	// part's throughput and percentiles (see the README).
+	var parts struct {
+		n             int
+		rps, p50, p99 []float64
+	}
 	if cfg.trace {
 		// Traced and untraced one-second blocks alternate, so both see the
 		// same mix of warm and cold caches; the difference in median
 		// operation latency between them is the tracing overhead.
+		lat[1] = newLatencies()
 		tr = newTracer(cfg.run)
 		root := tr.begin("workload", 0)
 		blocks := max(2, int(cfg.seconds/time.Second))
@@ -418,15 +391,30 @@ func runServe(cfg runConfig, w serveWorkload) (*runOut, error) {
 			if b%2 == 1 {
 				t = tr
 			}
-			lr := closedLoop(cs, rs.bases[0], ops, next, w.wrap, cfg.seconds/time.Duration(blocks), 0, t, root)
+			rs.trace.Store(t)
+			lr := closedLoop(cs, rs.bases[0], ops, next, w.wrap, cfg.seconds/time.Duration(blocks), lat[b%2], t, root)
 			next += lr.n
 			phases = append(phases, lr)
 		}
+		rs.trace.Store(nil)
 		tr.end(root)
 	} else {
-		// Room for 1.5 times the samples the settle phase's rate predicts.
-		capHint := int(1.5*float64(settled.n)*cfg.seconds.Seconds()/settle.Seconds())/clients + 1024
-		phases = []loopResult{closedLoop(cs, rs.bases[0], ops, next, w.wrap, cfg.seconds, capHint, nil, 0)}
+		for len(setups) < setupSamples {
+			lr := closedLoop(cs, rs.bases[0], ops, next, w.wrap, cfg.seconds/(setupSamples-1), lat[0], nil, 0)
+			next += lr.n
+			phases = append(phases, lr)
+			n, p50, p99 := lat[0].cut()
+			parts.n += n
+			parts.rps = append(parts.rps, float64(n)/lr.Elapsed.Seconds())
+			parts.p50, parts.p99 = append(parts.p50, p50), append(parts.p99, p99)
+			spare, t, d, err := setUp(w, ops, cs[0])
+			if err != nil {
+				return nil, err
+			}
+			spare.close()
+			warm.merge(t)
+			setups = append(setups, d.Seconds())
+		}
 	}
 	peak := peakRSSMB()
 	after, err := readServeStats(rs)
@@ -456,22 +444,21 @@ func runServe(cfg runConfig, w serveWorkload) (*runOut, error) {
 
 	if cfg.trace {
 		// Op latencies are heavy-tailed, so the blocks compare medians.
-		var lat [2][]time.Duration
-		for b, p := range phases {
-			lat[b%2] = append(lat[b%2], p.lat...)
-		}
-		layerMetrics(d, before.Runtime, after.Runtime, len(lat[0])+len(lat[1]), out.metrics)
-		return out, finishTrace(cfg, tr, quantileMS(lat[1], 0.5)/quantileMS(lat[0], 0.5)-1, out)
+		layerMetrics(d, before.Runtime, after.Runtime, lat[0].n+lat[1].n, out.metrics)
+		return out, finishTrace(cfg, tr, quantileMS(lat[1].buf, 0.5)/quantileMS(lat[0].buf, 0.5)-1, out)
 	}
 
-	p := phases[0]
-	lat := p.lat
+	var elapsed time.Duration
+	for _, p := range phases {
+		elapsed += p.Elapsed
+	}
 	out.metrics["setup_s"] = metric{median(setups), "s"}
-	out.metrics["wall_s"] = metric{p.Elapsed.Seconds(), "s"}
-	out.metrics["throughput_rps"] = metric{float64(len(lat)) / p.Elapsed.Seconds(), "1/s"}
-	out.metrics["p50_ms"] = metric{quantileMS(lat, 0.50), "ms"}
-	out.metrics["p99_ms"] = metric{quantileMS(lat, 0.99), "ms"}
+	out.metrics["wall_s"] = metric{elapsed.Seconds(), "s"}
+	out.metrics["throughput_rps"] = metric{median(parts.rps), "1/s"}
+	out.metrics["p50_ms"] = metric{median(parts.p50), "ms"}
+	out.metrics["p99_ms"] = metric{median(parts.p99), "ms"}
 	out.metrics["peak_rss_mb"] = metric{peak, "MB"}
-	out.report["latency_samples"] = len(lat)
+	out.report["latency_samples"] = parts.n
+	out.report["part_throughput_rps"], out.report["part_p50_ms"], out.report["part_p99_ms"] = parts.rps, parts.p50, parts.p99
 	return out, nil
 }
