@@ -38,9 +38,7 @@ GO ?= go
 #     the exhausted scope; per-client counters ride /v1/stats and the
 #     Prometheus text exposition at GET /metrics.
 #     Sweeps take a variant axis: {"axis":"powercap|seed|ambient|
-#     fraction","values":[...]} (caps_w still answers as the legacy
-#     powercap spelling but carries Deprecation + successor Link
-#     headers).
+#     fraction","values":[...]} (axis defaults to powercap).
 #     Replicas federate: gpuvard -peers http://a:8080,http://b:8080
 #     dispatches sweep shards across the fleet (-route-policy affinity
 #     rendezvous-hashes shards onto warm fleet caches; roundrobin and

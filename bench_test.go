@@ -1,9 +1,10 @@
 package gpuvar
 
 // One benchmark per table and figure of the paper's evaluation (see the
-// per-experiment index in DESIGN.md). Each regenerates the corresponding
-// output through internal/figures — the same code path as cmd/figures —
-// so `go test -bench=.` both times and exercises every reproduction.
+// generator catalog, figures.All, in internal/figures). Each regenerates
+// the corresponding output through internal/figures — the same code
+// path as cmd/figures — so `go test -bench=.` both times and exercises
+// every reproduction.
 //
 // Benchmarks use trimmed experiment sizes (fewer kernel repetitions, a
 // Summit sample instead of all 27,648 GPUs); `cmd/figures -full` runs
@@ -93,9 +94,10 @@ func BenchmarkFig25PowerBrakeTimeline(b *testing.B)   { benchFigure(b, "fig25") 
 func BenchmarkFig26RowHCol36(b *testing.B)            { benchFigure(b, "fig26") }
 func BenchmarkImpactSlowGPUProbability(b *testing.B)  { benchFigure(b, "impact") }
 
-// Extension studies (DESIGN.md §5): ablation of the variability
-// mechanisms, the spatial/temporal interference study the paper defers
-// to future work, and the global power management proposal.
+// Extension studies (internal/figures/gen_ext.go): ablation of the
+// variability mechanisms, the spatial/temporal interference study the
+// paper defers to future work, and the global power management
+// proposal.
 func BenchmarkExtAblation(b *testing.B)  { benchFigure(b, "ext-ablation") }
 func BenchmarkExtSpatial(b *testing.B)   { benchFigure(b, "ext-spatial") }
 func BenchmarkExtTemporal(b *testing.B)  { benchFigure(b, "ext-temporal") }
@@ -110,7 +112,7 @@ func BenchmarkExtNextGen(b *testing.B)   { benchFigure(b, "ext-nextgen") }
 // cache amortizes across iterations exactly as a restarted server
 // would against the process-wide cache).
 func BenchmarkServiceSweep(b *testing.B) {
-	const body = `{"cluster":"CloudLab","iterations":6,"caps_w":[300,250,200,150]}`
+	const body = `{"cluster":"CloudLab","iterations":6,"axis":"powercap","values":[300,250,200,150]}`
 	for i := 0; i < b.N; i++ {
 		srv := benchServer(b)
 		req := httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(body))

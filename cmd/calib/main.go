@@ -1,5 +1,6 @@
-// Command calib prints the paper-vs-measured calibration summary used to
-// populate EXPERIMENTS.md. It is a maintenance tool, not a deliverable.
+// Command calib prints a paper-vs-measured calibration summary: the
+// measured variability, correlation, sweep and impact numbers to set
+// beside the paper's. It is a maintenance tool, not a deliverable.
 package main
 
 import (
@@ -61,10 +62,10 @@ func main() {
 	// power sweep
 	wl := workload.SGEMMForCluster(sku)
 	wl.Iterations = 20
-	points, _ := core.PowerLimitSweep(core.Experiment{Cluster: cluster.CloudLab(), Workload: wl, Seed: seed, Runs: 4},
-		[]float64{300, 250, 200, 150, 100})
+	points, _ := core.VariantSweep(core.Experiment{Cluster: cluster.CloudLab(), Workload: wl, Seed: seed, Runs: 4},
+		core.AxisPowerCap, []float64{300, 250, 200, 150, 100})
 	for _, p := range points {
-		fmt.Printf("sweep|%.0fW|var=%.1f%%|med=%.0fms\n", p.CapW, p.PerfVar*100, p.MedianMs)
+		fmt.Printf("sweep|%.0fW|var=%.1f%%|med=%.0fms\n", p.Value, p.PerfVar*100, p.MedianMs)
 	}
 	// projection
 	lh, _ := core.Run(core.Experiment{Cluster: cluster.Longhorn(), Workload: wl, Seed: seed})

@@ -73,7 +73,6 @@
 // Resilience (see the doc.go "Resilience" section for the full story):
 //
 //	-retries 3 -retry-backoff 1ms   per-shard retry of transient failures
-//	-hedge-after 200ms              duplicate straggling shard attempts
 //	-data-dir /var/lib/gpuvar       crash-safe async jobs: lifecycle +
 //	                                results journaled and replayed on boot
 //	-journal-sync terminal          journal fsync policy (terminal,
@@ -141,7 +140,6 @@ func main() {
 
 		retries      = flag.Int("retries", 3, "total attempts per engine shard for transient failures (<=1 disables retry)")
 		retryBackoff = flag.Duration("retry-backoff", time.Millisecond, "base backoff before a shard retry (jittered, doubling, capped at 100x)")
-		hedgeAfter   = flag.Duration("hedge-after", 0, "duplicate a shard attempt still running after this long (0 disables hedging)")
 		dataDir      = flag.String("data-dir", "", "directory for the crash-safe job journal (empty = jobs are in-memory only)")
 		journalSync  = flag.String("journal-sync", "terminal", "job-journal fsync policy: terminal, always, or never")
 		faultSpec    = flag.String("faults", "", "fault-injection spec, e.g. 'engine.shard.pre=error:0.3' (also $GPUVARD_FAULTS)")
@@ -172,7 +170,6 @@ func main() {
 	cluster.DefaultFleetCache.SetCap(*fleetLRU)
 	engine.SetBudgetCapacity(*budget)
 	engine.SetRetryPolicy(engine.RetryPolicy{MaxAttempts: *retries, BaseBackoff: *retryBackoff})
-	engine.SetHedgePolicy(engine.HedgePolicy{After: *hedgeAfter})
 
 	spec := *faultSpec
 	if spec == "" {

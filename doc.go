@@ -6,11 +6,12 @@
 // the full characterization methodology (IQR variability, correlations,
 // repeatability, day-of-week, power-limit sweeps, outlier triage).
 //
-// See DESIGN.md for the system inventory and the per-experiment index,
-// EXPERIMENTS.md for paper-versus-measured results, and the examples/
-// directory for runnable entry points. The benchmarks in bench_test.go
-// regenerate every table and figure of the paper's evaluation; the same
-// generators are exposed interactively by cmd/figures.
+// See internal/figures for the per-experiment generator catalog,
+// cmd/calib for a paper-versus-measured calibration summary, and the
+// examples/ directory for runnable entry points. The benchmarks in
+// bench_test.go regenerate every table and figure of the paper's
+// evaluation; the same generators are exposed interactively by
+// cmd/figures.
 //
 // # Performance
 //
@@ -136,7 +137,7 @@
 //	                              per-class queues, budget occupancy
 //	GET    /v1/healthz            liveness + the same counters
 //	GET    /v1/                   discovery document: every route with
-//	                              its stability marker and successor
+//	                              its stability marker
 //	GET    /v1/replicas           fleet membership + dispatch counters
 //	                              (see Distribution below)
 //
@@ -159,11 +160,8 @@
 // 0 = TDP), seed sweeps fleet instantiation seeds (uncertainty bands),
 // ambient sweeps inlet-temperature offsets in °C within ±25 (facility
 // what-ifs), and fraction sweeps measurement coverage in (0, 1] (cost
-// ladders). The legacy power-cap spelling {"caps_w": [...]} still
-// works: it normalizes to axis=powercap, shares the same cache entry,
-// and returns byte-identical bodies. core.VariantSweepCtx implements
-// all four axes once; core.PowerLimitSweep remains as its golden-tested
-// powercap façade.
+// ladders). core.VariantSweepCtx implements all four axes once; the
+// Fig. 22 generator is its powercap instance.
 //
 // # Analytical estimator
 //
@@ -351,8 +349,7 @@
 //
 // Every response carries X-Request-ID (echoed from the client if
 // reasonable, generated otherwise), errors are a uniform JSON envelope
-// with a stable machine-readable code, and the legacy /healthz spelling
-// answers with Deprecation/Link headers pointing at /v1/healthz.
+// with a stable machine-readable code.
 //
 // Async jobs also record their stream: each job's NDJSON lines (the
 // same schema and byte-identical payload chunks as the synchronous
@@ -397,14 +394,14 @@
 // gpuvard -retries) a transiently failing shard re-executes up to
 // MaxAttempts times with jittered doubling backoff, aborting promptly
 // if the context ends; Permanent and Canceled failures never retry.
-// A hedge policy (engine.WithHedge, gpuvard -hedge-after) additionally
-// arms a per-shard watchdog: an attempt still running after the
-// threshold is raced by a duplicate execution and the first result
-// wins. Shards are pure functions of their inputs, so a duplicate's
-// result is the original's, and responses stay byte-identical — the
-// golden chaos tests pin exactly that: sweep and campaign bytes under
-// 30% injected transient shard faults equal the fault-free bytes.
-// Retry/hedge/fault counters surface in engine.Stats and on /v1/stats.
+// Shards are pure functions of their inputs, so a retried shard's
+// result is the first attempt's, and responses stay byte-identical —
+// the golden chaos tests pin exactly that: sweep and campaign bytes
+// under 30% injected transient shard faults equal the fault-free
+// bytes. The engine does not hedge stragglers: in-process shards are
+// deterministic and CPU-bound, so a duplicate attempt would only
+// compete for the same cores. Retry and fault counters surface in
+// engine.Stats and on /v1/stats.
 //
 // Jobs survive crashes: with gpuvard -data-dir set, internal/jobs
 // appends a write-ahead journal of JSON lines (submit records and

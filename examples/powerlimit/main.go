@@ -25,12 +25,12 @@ func main() {
 	wl := workload.SGEMMForCluster(spec.SKU())
 	wl.Iterations = 20
 
-	points, err := core.PowerLimitSweep(core.Experiment{
+	points, err := core.VariantSweep(core.Experiment{
 		Cluster:  spec,
 		Workload: wl,
 		Seed:     7,
 		Runs:     4, // CloudLab is tiny; repeat runs firm up the statistics
-	}, []float64{300, 250, 200, 150, 100})
+	}, core.AxisPowerCap, []float64{300, 250, 200, 150, 100})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t.AddRow(
-			fmt.Sprintf("%.0f", p.CapW),
+			fmt.Sprintf("%.0f", p.Value),
 			fmt.Sprintf("%.0f", p.MedianMs),
 			fmt.Sprintf("%.1f", p.PerfVar*100),
 			fmt.Sprintf("%.0f", freqBox.Q2),
@@ -56,6 +56,6 @@ func main() {
 	base, low := points[0], points[3]
 	fmt.Printf("\nAt %.0f W the fleet varies %.1f%%; at %.0f W it varies %.1f%% — "+
 		"capping power amplifies manufacturing differences.\n",
-		base.CapW, base.PerfVar*100, low.CapW, low.PerfVar*100)
+		base.Value, base.PerfVar*100, low.Value, low.PerfVar*100)
 	fmt.Println("Paper: \"variability and the number of outliers also increase with lower power limits.\"")
 }

@@ -68,7 +68,7 @@ func TestSGEMMVariationBands(t *testing.T) {
 	// Paper headline numbers: Longhorn 9%, Vortex 9%, Summit 8%,
 	// Corona 7%, Frontera 5% performance variation. We assert generous
 	// shape bands around each (the substrate is a simulator, not the
-	// authors' testbed; EXPERIMENTS.md records exact measured values).
+	// authors' testbed; cmd/calib prints the exact measured values).
 	cases := []struct {
 		spec     cluster.Spec
 		fraction float64
@@ -302,14 +302,14 @@ func TestPowerLimitSweep(t *testing.T) {
 	// from 300 W to 150 W (9% → 18% in the paper).
 	exp := sgemmExp(cluster.CloudLab(), 10)
 	exp.Runs = 2
-	points, err := PowerLimitSweep(exp, []float64{300, 250, 200, 150})
+	points, err := VariantSweep(exp, AxisPowerCap, []float64{300, 250, 200, 150})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(points); i++ {
 		if points[i].MedianMs <= points[i-1].MedianMs {
 			t.Errorf("median at %vW (%v ms) should exceed %vW (%v ms)",
-				points[i].CapW, points[i].MedianMs, points[i-1].CapW, points[i-1].MedianMs)
+				points[i].Value, points[i].MedianMs, points[i-1].Value, points[i-1].MedianMs)
 		}
 	}
 	if points[3].PerfVar <= points[0].PerfVar {

@@ -41,46 +41,6 @@ func WeekStudyCtx(ctx context.Context, exp Experiment) ([]*Result, error) {
 // DayNames are the week-study labels.
 var DayNames = [7]string{"Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"}
 
-// PowerSweepPoint is one power-limit setting's outcome (§VI-B, Fig. 22).
-type PowerSweepPoint struct {
-	CapW      float64
-	PerfVar   float64
-	MedianMs  float64
-	NOutliers int
-	Result    *Result
-}
-
-// PowerLimitSweep runs the workload at each administrative power cap.
-// The paper sweeps 100–300 W on CloudLab, where the authors had root.
-func PowerLimitSweep(exp Experiment, capsW []float64) ([]PowerSweepPoint, error) {
-	return PowerLimitSweepCtx(context.Background(), exp, capsW)
-}
-
-// PowerLimitSweepCtx runs the sweep as one engine job graph. It is the
-// AxisPowerCap instance of the generalized VariantSweepCtx (every cap
-// variant is a shard sharing the same cached fleet — the cap applies at
-// simulation time, not instantiation time), kept as a named façade
-// because it is the paper's §VI-B study. Results keep capsW order and
-// are bit-identical to the pre-generalization implementation (the
-// golden test in variants_test.go pins this).
-func PowerLimitSweepCtx(ctx context.Context, exp Experiment, capsW []float64) ([]PowerSweepPoint, error) {
-	pts, err := VariantSweepCtx(ctx, exp, AxisPowerCap, capsW)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PowerSweepPoint, len(pts))
-	for i, p := range pts {
-		out[i] = PowerSweepPoint{
-			CapW:      p.Value,
-			PerfVar:   p.PerfVar,
-			MedianMs:  p.MedianMs,
-			NOutliers: p.NOutliers,
-			Result:    p.Result,
-		}
-	}
-	return out, nil
-}
-
 // AppStudyRow is one workload's variability summary on one cluster —
 // the rows behind the paper's §V cross-application comparison.
 type AppStudyRow struct {
@@ -134,7 +94,7 @@ type AblationRow struct {
 
 // Ablation reruns the experiment with individual variability mechanisms
 // disabled, attributing the observed variation (an extension beyond the
-// paper: DESIGN.md §5).
+// paper).
 func Ablation(exp Experiment) ([]AblationRow, error) {
 	return AblationCtx(context.Background(), exp)
 }

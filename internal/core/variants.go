@@ -124,9 +124,8 @@ func VariantSweep(exp Experiment, axis VariantAxis, values []float64) ([]Variant
 // jobs nest inside, and results keep values order. Axes that leave the
 // fleet untouched (powercap, ambient, fraction) share a single cached
 // instantiation; the seed axis instantiates one fleet per value, which
-// is exactly the case the fleet cache's LRU bound exists for. For
-// AxisPowerCap this is bit-identical to PowerLimitSweepCtx, which is
-// now a façade over it.
+// is exactly the case the fleet cache's LRU bound exists for.
+// AxisPowerCap is the paper's §VI-B power-limit study (Fig. 22).
 func VariantSweepCtx(ctx context.Context, exp Experiment, axis VariantAxis, values []float64) ([]VariantPoint, error) {
 	for _, v := range values {
 		if err := axis.Validate(v); err != nil {

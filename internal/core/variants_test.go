@@ -19,9 +19,8 @@ func variantExp() Experiment {
 }
 
 // TestVariantSweepPowercapGolden pins the generalization contract: the
-// powercap axis is bit-identical to both the PowerLimitSweep façade
-// and a serial loop of RunCtx calls with AdminCapW set — the
-// pre-generalization implementation.
+// powercap axis is bit-identical to a serial loop of RunCtx calls with
+// AdminCapW set — the pre-generalization implementation.
 func TestVariantSweepPowercapGolden(t *testing.T) {
 	exp := variantExp()
 	caps := []float64{0, 250, 150}
@@ -30,12 +29,8 @@ func TestVariantSweepPowercapGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := PowerLimitSweep(exp, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(caps) || len(legacy) != len(caps) {
-		t.Fatalf("lengths: variant %d, legacy %d, want %d", len(pts), len(legacy), len(caps))
+	if len(pts) != len(caps) {
+		t.Fatalf("lengths: variant %d, want %d", len(pts), len(caps))
 	}
 	for i, capW := range caps {
 		// The serial reference: exactly what the old sweep computed.
@@ -47,13 +42,6 @@ func TestVariantSweepPowercapGolden(t *testing.T) {
 		}
 		if !reflect.DeepEqual(pts[i].Result.PerAG, ref.PerAG) {
 			t.Fatalf("cap %v: variant sweep diverged from the serial reference", capW)
-		}
-		if !reflect.DeepEqual(legacy[i].Result.PerAG, pts[i].Result.PerAG) {
-			t.Fatalf("cap %v: PowerLimitSweep façade diverged from VariantSweep", capW)
-		}
-		if legacy[i].CapW != pts[i].Value || legacy[i].MedianMs != pts[i].MedianMs ||
-			legacy[i].PerfVar != pts[i].PerfVar || legacy[i].NOutliers != pts[i].NOutliers {
-			t.Fatalf("cap %v: summary fields diverged: %+v vs %+v", capW, legacy[i], pts[i])
 		}
 	}
 }

@@ -32,10 +32,9 @@
 //     remaining workers drain and exit.
 //   - Failure-domain semantics: shard errors are classified
 //     (Transient / Permanent / Canceled), transient failures re-run
-//     under the resolved RetryPolicy with jittered backoff, and a
-//     straggling attempt races a hedged duplicate under the
-//     HedgePolicy — shards are pure, so a retried or hedged shard's
-//     output is bit-identical to a first-try success (see retry.go).
+//     under the resolved RetryPolicy with jittered backoff — shards are
+//     pure, so a retried shard's output is bit-identical to a first-try
+//     success (see retry.go).
 //   - Observability: package-level progress counters (jobs in flight,
 //     shards completed, cancellations) and the budget's per-class
 //     occupancy, exported by the service.
@@ -62,12 +61,9 @@ var counters struct {
 	shardsCompleted atomic.Uint64
 	inFlightJobs    atomic.Int64
 	// Resilience counters (see retry.go): transient attempt failures
-	// observed, re-executions, hedged duplicates launched, and hedged
-	// duplicates whose result won.
+	// observed and re-executions.
 	transientShardErrors atomic.Uint64
 	shardRetries         atomic.Uint64
-	shardHedges          atomic.Uint64
-	hedgeWins            atomic.Uint64
 }
 
 // Progress accumulates shard progress for one logical job tree. Attach
@@ -120,14 +116,15 @@ type Stats struct {
 	InFlightJobs    int64  `json:"in_flight_jobs"`
 	// TransientShardErrors counts shard attempts that failed with a
 	// transient (retryable) error — injected faults included; Retries
-	// counts the re-executions the retry policy spent on them; Hedges
-	// counts straggler duplicates launched by the hedge watchdog, and
-	// HedgeWins the ones whose result was used.
-	TransientShardErrors uint64      `json:"transient_shard_errors"`
-	Retries              uint64      `json:"retries"`
-	Hedges               uint64      `json:"hedges"`
-	HedgeWins            uint64      `json:"hedge_wins"`
-	Budget               BudgetStats `json:"budget"`
+	// counts the re-executions the retry policy spent on them.
+	TransientShardErrors uint64 `json:"transient_shard_errors"`
+	Retries              uint64 `json:"retries"`
+	// Hedges is always zero: the engine does not hedge stragglers.
+	// The field remains only because the repository benchmark
+	// (perfbench) reads it for its engine.hedges metric; it goes when
+	// the benchmark drops that metric.
+	Hedges uint64      `json:"hedges"`
+	Budget BudgetStats `json:"budget"`
 }
 
 // Snapshot reads the counters.
@@ -141,8 +138,6 @@ func Snapshot() Stats {
 		InFlightJobs:         counters.inFlightJobs.Load(),
 		TransientShardErrors: counters.transientShardErrors.Load(),
 		Retries:              counters.shardRetries.Load(),
-		Hedges:               counters.shardHedges.Load(),
-		HedgeWins:            counters.hedgeWins.Load(),
 		Budget:               defaultBudget.stats(),
 	}
 }
@@ -172,14 +167,13 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 		workers = n
 	}
 	class := ClassFrom(ctx)
-	// Resolve the resilience policies once per Map, not per shard: they
-	// cannot change mid-job, and the fault-free hot path should pay two
-	// context walks per job, not 2n. When nothing is armed — no retry,
-	// no hedge, no fault sites — shards skip the resilient wrapper
-	// entirely, so the disarmed cost is one atomic load per Map.
+	// Resolve the retry policy once per Map, not per shard: it cannot
+	// change mid-job, and the fault-free hot path should pay one context
+	// walk per job, not n. When nothing is armed — no retry, no fault
+	// sites — shards skip the resilient wrapper entirely, so the
+	// disarmed cost is one atomic load per Map.
 	retryPolicy := RetryFrom(ctx)
-	hedgePolicy := HedgeFrom(ctx)
-	resilient := retryPolicy.enabled() || hedgePolicy.enabled() || faults.Armed()
+	resilient := retryPolicy.enabled() || faults.Armed()
 	counters.jobsStarted.Add(1)
 	counters.inFlightJobs.Add(1)
 	defer counters.inFlightJobs.Add(-1)
@@ -228,7 +222,7 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 			err error
 		)
 		if resilient {
-			v, err = runShardResilient(fnCtx, i, retryPolicy, hedgePolicy, fn)
+			v, err = runShardResilient(fnCtx, i, retryPolicy, fn)
 		} else {
 			v, err = fn(fnCtx, i)
 		}

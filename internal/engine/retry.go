@@ -2,8 +2,8 @@ package engine
 
 // Failure-domain semantics for shard execution: the paper's machines
 // misbehave (slow GPUs, throttling, injected defects), so the engine
-// that reproduces them must assume its own execution can too. Three
-// mechanisms, all per shard and all policy-driven:
+// that reproduces them must assume its own execution can too. Two
+// mechanisms, both per shard:
 //
 //   - Classification. Every shard error is Transient, Permanent, or
 //     Canceled (ClassifyError). Only transients are worth re-running;
@@ -14,29 +14,21 @@ package engine
 //     the context before each attempt. Shards are pure functions of
 //     (ctx, index), so a retried shard's output is bit-identical to a
 //     first-try success — the golden chaos tests pin exactly that.
-//   - Hedging. A HedgePolicy arms a per-shard watchdog: an attempt
-//     still running after After gets a duplicate execution racing it,
-//     and the first success wins (purity again makes either result
-//     correct). The loser's goroutine drains on its own time — it only
-//     writes into a buffered channel — and a duplicate's panic is
-//     contained and cannot override a primary success.
 //
-// Policies resolve once per Map: a context-attached policy (WithRetry /
-// WithHedge) wins; otherwise the process defaults (SetRetryPolicy /
-// SetHedgePolicy, wired to gpuvard -retries / -hedge-after) apply; the
-// zero policy disables the mechanism. With nothing armed — no policy,
-// no fault sites — Map bypasses this file entirely (one atomic load per
-// Map); the fault-free overhead of an armed retry policy is the
-// per-attempt classification branches — see
-// BenchmarkEngineRetryOverhead, which runs with retries armed and is
-// gated against BenchmarkEngineClassedMap-level cost.
+// The policy resolves once per Map: a context-attached policy
+// (WithRetry) wins; otherwise the process default (SetRetryPolicy,
+// wired to gpuvard -retries) applies; the zero policy disables
+// retries. With nothing armed — no policy, no fault sites — Map
+// bypasses this file entirely (one atomic load per Map); the
+// fault-free overhead of an armed retry policy is the per-attempt
+// classification branches — see BenchmarkEngineRetryOverhead, which
+// runs with retries armed and is gated against
+// BenchmarkEngineClassedMap-level cost.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -145,18 +137,7 @@ func (p RetryPolicy) backoff(retry int) time.Duration {
 	return time.Duration((0.5 + rand.Float64()) * float64(d))
 }
 
-// HedgePolicy arms the per-shard straggler watchdog. The zero value
-// disables hedging.
-type HedgePolicy struct {
-	// After is how long one attempt may run before a duplicate execution
-	// is hedged against it; <= 0 disables.
-	After time.Duration
-}
-
-func (p HedgePolicy) enabled() bool { return p.After > 0 }
-
 type retryKey struct{}
-type hedgeKey struct{}
 
 // WithRetry attaches a retry policy to the context; Maps under it (and
 // their nested jobs) apply it per shard, overriding the process
@@ -165,28 +146,15 @@ func WithRetry(ctx context.Context, p RetryPolicy) context.Context {
 	return context.WithValue(ctx, retryKey{}, p)
 }
 
-// WithHedge attaches a hedge policy to the context, overriding the
-// process default.
-func WithHedge(ctx context.Context, p HedgePolicy) context.Context {
-	return context.WithValue(ctx, hedgeKey{}, p)
-}
-
-// Process-default policies (gpuvard -retries / -retry-backoff /
-// -hedge-after). Stored behind atomic pointers so the per-Map read is
-// one load, mutex-free.
-var (
-	defaultRetry atomic.Pointer[RetryPolicy]
-	defaultHedge atomic.Pointer[HedgePolicy]
-)
+// defaultRetry is the process-default policy (gpuvard -retries /
+// -retry-backoff). Stored behind an atomic pointer so the per-Map read
+// is one load, mutex-free.
+var defaultRetry atomic.Pointer[RetryPolicy]
 
 // SetRetryPolicy installs the process-default retry policy applied to
 // every Map whose context carries none. The zero policy disables
 // retries.
 func SetRetryPolicy(p RetryPolicy) { defaultRetry.Store(&p) }
-
-// SetHedgePolicy installs the process-default hedge policy. The zero
-// policy disables hedging.
-func SetHedgePolicy(p HedgePolicy) { defaultHedge.Store(&p) }
 
 // RetryFrom resolves the effective retry policy: context override
 // first, then the process default.
@@ -198,25 +166,6 @@ func RetryFrom(ctx context.Context) RetryPolicy {
 		return *p
 	}
 	return RetryPolicy{}
-}
-
-// HedgeFrom resolves the effective hedge policy: context override
-// first, then the process default.
-func HedgeFrom(ctx context.Context) HedgePolicy {
-	if p, ok := ctx.Value(hedgeKey{}).(HedgePolicy); ok {
-		return p
-	}
-	if p := defaultHedge.Load(); p != nil {
-		return *p
-	}
-	return HedgePolicy{}
-}
-
-// shardOutcome is one attempt's result on the hedge channel.
-type shardOutcome[T any] struct {
-	v   T
-	err error
-	dup bool // true when produced by the hedged duplicate
 }
 
 // attemptShard runs one execution of shard i: the pre-attempt fault
@@ -237,12 +186,11 @@ func attemptShard[T any](ctx context.Context, i int, fn func(ctx context.Context
 	return v, nil
 }
 
-// runShardResilient executes shard i under the resolved retry and hedge
-// policies: hedged attempts race a duplicate after the watchdog
-// deadline; transient failures re-run with jittered backoff; permanent
-// and canceled errors (and panics, which the caller's recover converts)
+// runShardResilient executes shard i under the resolved retry policy:
+// transient failures re-run with jittered backoff; permanent and
+// canceled errors (and panics, which the caller's recover converts)
 // fail fast.
-func runShardResilient[T any](ctx context.Context, i int, rp RetryPolicy, hp HedgePolicy, fn func(ctx context.Context, shard int) (T, error)) (T, error) {
+func runShardResilient[T any](ctx context.Context, i int, rp RetryPolicy, fn func(ctx context.Context, shard int) (T, error)) (T, error) {
 	var zero T
 	attempts := rp.MaxAttempts
 	if attempts < 1 {
@@ -260,15 +208,7 @@ func runShardResilient[T any](ctx context.Context, i int, rp RetryPolicy, hp Hed
 				return zero, ctx.Err()
 			}
 		}
-		var (
-			v   T
-			err error
-		)
-		if hp.enabled() {
-			v, err = runHedged(ctx, i, hp, fn)
-		} else {
-			v, err = attemptShard(ctx, i, fn)
-		}
+		v, err := attemptShard(ctx, i, fn)
 		if err == nil {
 			return v, nil
 		}
@@ -279,61 +219,4 @@ func runShardResilient[T any](ctx context.Context, i int, rp RetryPolicy, hp Hed
 		lastErr = err
 	}
 	return zero, lastErr
-}
-
-// runHedged races one attempt against a duplicate hedged After into the
-// run. First success wins; a failure waits for the remaining attempt
-// (the duplicate exists precisely because the primary may never
-// return); when both fail, the first-observed error stands. Losing
-// attempts finish detached — they only write into the buffered channel
-// — and a panicking attempt (primary or duplicate) is converted to a
-// permanent error rather than escaping its goroutine.
-func runHedged[T any](ctx context.Context, i int, hp HedgePolicy, fn func(ctx context.Context, shard int) (T, error)) (T, error) {
-	var zero T
-	ch := make(chan shardOutcome[T], 2)
-	launch := func(dup bool) {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					ch <- shardOutcome[T]{
-						err: fmt.Errorf("engine: shard %d panicked: %v\n%s", i, r, debug.Stack()),
-						dup: dup,
-					}
-				}
-			}()
-			v, err := attemptShard(ctx, i, fn)
-			ch <- shardOutcome[T]{v: v, err: err, dup: dup}
-		}()
-	}
-	launch(false)
-	watchdog := time.NewTimer(hp.After)
-	defer watchdog.Stop()
-	launched, settled := 1, 0
-	var firstErr error
-	for {
-		select {
-		case out := <-ch:
-			settled++
-			if out.err == nil {
-				if out.dup {
-					counters.hedgeWins.Add(1)
-				}
-				return out.v, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if settled == launched {
-				return zero, firstErr
-			}
-		case <-watchdog.C:
-			if launched == 1 {
-				launched = 2
-				counters.shardHedges.Add(1)
-				launch(true)
-			}
-		case <-ctx.Done():
-			return zero, ctx.Err()
-		}
-	}
 }

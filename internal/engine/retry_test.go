@@ -124,83 +124,6 @@ func TestCanceledFailsFast(t *testing.T) {
 	leak()
 }
 
-// TestHedgeStragglerLoses: a straggling primary is raced by a hedged
-// duplicate; the duplicate's (identical) result answers long before the
-// straggler would have, and the counters record the win.
-func TestHedgeStragglerLoses(t *testing.T) {
-	leak := testutil.LeakCheck(t, 1) // the abandoned straggler drains on its own time
-	before := Snapshot()
-	var calls atomic.Int64
-	ctx := WithHedge(context.Background(), HedgePolicy{After: 5 * time.Millisecond})
-	start := time.Now()
-	got, err := Map(ctx, 1, 1, func(ctx context.Context, i int) (int, error) {
-		if calls.Add(1) == 1 {
-			// The straggler: the first attempt dawdles far past the
-			// watchdog; purity means the duplicate returns the same value.
-			select {
-			case <-time.After(2 * time.Second):
-			case <-ctx.Done():
-			}
-			return 7, nil
-		}
-		return 7, nil
-	})
-	if err != nil || got[0] != 7 {
-		t.Fatalf("Map = (%v, %v), want ([7], nil)", got, err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("hedged shard took %v, the duplicate did not win", d)
-	}
-	after := Snapshot()
-	if d := after.Hedges - before.Hedges; d != 1 {
-		t.Errorf("hedges counter advanced %d, want 1", d)
-	}
-	if d := after.HedgeWins - before.HedgeWins; d != 1 {
-		t.Errorf("hedge_wins counter advanced %d, want 1", d)
-	}
-	leak()
-}
-
-// TestHedgedDuplicatePanicDoesNotOverridePrimary: a panic inside the
-// hedged duplicate is contained, and the primary's later success is
-// still the shard's result.
-func TestHedgedDuplicatePanicDoesNotOverridePrimary(t *testing.T) {
-	leak := testutil.LeakCheck(t, 0)
-	var calls atomic.Int64
-	ctx := WithHedge(context.Background(), HedgePolicy{After: time.Millisecond})
-	got, err := Map(ctx, 1, 1, func(ctx context.Context, i int) (int, error) {
-		if calls.Add(1) == 1 {
-			time.Sleep(50 * time.Millisecond) // slow enough to get hedged
-			return 11, nil
-		}
-		panic("duplicate exploded")
-	})
-	if err != nil || got[0] != 11 {
-		t.Fatalf("Map = (%v, %v), want ([11], nil) despite the duplicate's panic", got, err)
-	}
-	leak()
-}
-
-// TestHedgeBothFailReturnsFirstError: when the primary and the
-// duplicate both fail, the first-observed error stands and the job
-// fails (after retries, if armed — none here).
-func TestHedgeBothFailReturnsFirstError(t *testing.T) {
-	leak := testutil.LeakCheck(t, 0)
-	ctx := WithHedge(context.Background(), HedgePolicy{After: time.Millisecond})
-	var calls atomic.Int64
-	_, err := Map(ctx, 1, 1, func(ctx context.Context, i int) (int, error) {
-		n := calls.Add(1)
-		if n == 1 {
-			time.Sleep(20 * time.Millisecond)
-		}
-		return 0, fmt.Errorf("attempt %d failed", n)
-	})
-	if err == nil || !strings.Contains(err.Error(), "failed") {
-		t.Fatalf("err = %v, want an attempt failure", err)
-	}
-	leak()
-}
-
 // TestPanicShardZeroAndLast pins the deterministic-error contract under
 // panics at both extremes of the shard range: whichever shards panic,
 // the job fails with the lowest-indexed shard's annotated panic.

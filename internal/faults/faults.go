@@ -17,7 +17,7 @@
 //	panic:<p>         panic (contained by the engine's per-shard
 //	                  recover; exercises the permanent-failure path)
 //	stall:<p>         block until the call's context ends (exercises
-//	                  watchdogs and hedged duplicates)
+//	                  deadlines and cancellation)
 //	slow:<p>:<dur>    sleep dur, then proceed normally (straggler
 //	                  emulation without failure)
 //
@@ -50,9 +50,8 @@ import (
 // parse time, so a typoed chaos flag fails the boot instead of silently
 // injecting nothing.
 const (
-	// SiteShardPre fires before each engine shard attempt (including
-	// retries and hedged duplicates) — the canonical transient-compute
-	// fault.
+	// SiteShardPre fires before each engine shard attempt (retries
+	// included) — the canonical transient-compute fault.
 	SiteShardPre = "engine.shard.pre"
 	// SiteShardPost fires after a shard attempt succeeds, discarding its
 	// result — a fault in the result path rather than the computation.

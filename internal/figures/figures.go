@@ -193,7 +193,7 @@ func All() []Generator {
 }
 
 // AllWithExtensions returns the paper generators followed by the
-// extension studies (DESIGN.md §5).
+// extension studies (see gen_ext.go).
 func AllWithExtensions() []Generator {
 	return append(All(), extGenerators()...)
 }

@@ -258,14 +258,14 @@ func weekStudy(ctx context.Context, s *Session, spec cluster.Spec, w io.Writer) 
 func genFig22(ctx context.Context, s *Session, w io.Writer) error {
 	wl := s.sgemmWorkload(cluster.CloudLab())
 	exp := core.Experiment{Cluster: cluster.CloudLab(), Workload: wl, Seed: s.Cfg.Seed, Runs: s.Cfg.Runs}
-	points, err := core.PowerLimitSweepCtx(ctx, exp, []float64{300, 250, 200, 150, 100})
+	points, err := core.VariantSweepCtx(ctx, exp, core.AxisPowerCap, []float64{300, 250, 200, 150, 100})
 	if err != nil {
 		return err
 	}
 	var t report.Table
 	t.Header = []string{"Cap W", "Median ms", "PerfVar%", "Outliers"}
 	for _, p := range points {
-		t.AddRow(p.CapW, fmt.Sprintf("%.0f", p.MedianMs),
+		t.AddRow(p.Value, fmt.Sprintf("%.0f", p.MedianMs),
 			fmt.Sprintf("%.1f", p.PerfVar*100), p.NOutliers)
 	}
 	return t.Render(w)

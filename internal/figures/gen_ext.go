@@ -17,7 +17,7 @@ import (
 	"gpuvar/internal/workload"
 )
 
-// Extension studies beyond the paper's evaluation (DESIGN.md §5):
+// Extension studies beyond the paper's evaluation:
 // mechanism ablation, the spatial/temporal interference study the paper
 // defers to future work, and the global power management proposal from
 // its conclusions.

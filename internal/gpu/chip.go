@@ -76,7 +76,7 @@ type VariationModel struct {
 }
 
 // DefaultVariation returns the calibration used for all paper
-// reproductions (DESIGN.md §4).
+// reproductions.
 func DefaultVariation() VariationModel {
 	return VariationModel{
 		VoltSpread:  0.016,

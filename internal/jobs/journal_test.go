@@ -38,21 +38,29 @@ func newJournaled(t *testing.T, path string, opts Options) *Manager[string] {
 	return m
 }
 
-// submitWait submits fn and waits for the job to go terminal.
+// submitWait submits fn and waits for the job to go terminal and for
+// both of its journal records (submit and terminal) to be written: the
+// terminal record is appended after the state becomes visible, so a
+// test that edits the file must not race it.
 func submitWait(t *testing.T, m *Manager[string], fn func(ctx context.Context) (string, error)) Snapshot {
 	t.Helper()
+	journaled := func() uint64 {
+		js := m.Stats().Journal
+		return js.Appended + js.WriteErrors
+	}
+	before := journaled()
 	id, err := m.Submit("test", engine.Batch, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if snap, ok := m.Get(id); ok && snap.State.Terminal() {
+		if snap, ok := m.Get(id); ok && snap.State.Terminal() && journaled() >= before+2 {
 			return snap
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("job %s never went terminal", id)
+	t.Fatalf("job %s never went terminal with both journal records written", id)
 	return Snapshot{}
 }
 

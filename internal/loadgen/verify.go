@@ -88,10 +88,6 @@ func (c *Client) VerifyAdaptive(base, sweepBody, adaptiveBody, key string) (simu
 	if err := json.Unmarshal([]byte(sweepBody), &m); err != nil {
 		return 0, 0, fmt.Errorf("parsing -sweep body: %v", err)
 	}
-	if _, legacy := m["caps_w"]; legacy {
-		delete(m, "caps_w")
-		m["axis"] = "powercap"
-	}
 	m["values"] = json.RawMessage("[" + strings.Join(simVals, ",") + "]")
 	subset, err := json.Marshal(m)
 	if err != nil {

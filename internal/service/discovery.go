@@ -8,16 +8,14 @@ import (
 )
 
 // The discovery document: GET /v1/ enumerates every route the server
-// answers, each with its method, stability class, and — for deprecated
-// routes — its successor. The same table registers the mux patterns in
-// New, so the served surface and its self-description cannot drift: a
-// route exists exactly when the document lists it.
+// answers, each with its method and stability class. The same table
+// registers the mux patterns in New, so the served surface and its
+// self-description cannot drift: a route exists exactly when the
+// document lists it.
 //
 // Stability classes:
 //
 //	stable      the supported API surface
-//	deprecated  still served, but carries Deprecation+Link successor
-//	            headers and a sunset note in API.md
 //	internal    replica-to-replica plumbing; refuses requests that do
 //	            not carry the dispatch marker header or that carry an
 //	            external client identity (X-API-Key)
@@ -26,8 +24,7 @@ import (
 type routeDef struct {
 	method    string
 	path      string
-	stability string // "stable" | "deprecated" | "internal"
-	successor string // deprecated routes name their replacement
+	stability string // "stable" | "internal"
 	desc      string
 	handler   http.HandlerFunc
 }
@@ -46,28 +43,27 @@ func (rt routeDef) muxPattern() string {
 // routes is the server's complete surface, in documentation order.
 func (s *Server) routes() []routeDef {
 	return []routeDef{
-		{"GET", "/v1/", "stable", "", "this discovery document", s.handleDiscovery},
-		{"GET", "/v1/figures", "stable", "", "catalog of figure/table generators", s.handleFigureList},
-		{"GET", "/v1/figures/{id}", "stable", "", "one rendered figure (config via query)", s.handleFigure},
-		{"GET", "/v1/experiments/{name}", "stable", "", "one experiment summary (params via query)", s.handleExperiment},
-		{"POST", "/v1/campaign", "stable", "", "one campaign simulation (params via body)", s.handleCampaign},
-		{"POST", "/v1/sweep", "stable", "", "bounded variant-axis sweep (the caps_w spelling is deprecated: use axis=powercap with values)", s.handleSweep},
-		{"GET", "/v1/estimate", "stable", "", "analytical sweep estimate (query spelling)", s.handleEstimateGet},
-		{"POST", "/v1/estimate", "stable", "", "analytical sweep estimate (body spelling)", s.handleEstimate},
-		{"GET", "/v1/stream/sweep", "stable", "", "sweep streamed as NDJSON, one line per variant", s.handleStreamSweep},
-		{"GET", "/v1/stream/experiments/{name}", "stable", "", "experiment streamed as NDJSON, one line per shard", s.handleStreamExperiment},
-		{"POST", "/v1/jobs", "stable", "", "async submission of a sweep/estimate/campaign", s.handleJobSubmit},
-		{"GET", "/v1/jobs", "stable", "", "list live jobs (paginated, filterable)", s.handleJobList},
-		{"GET", "/v1/jobs/{id}", "stable", "", "job state + per-shard progress", s.handleJobStatus},
-		{"GET", "/v1/jobs/{id}/result", "stable", "", "finished job's response (replayable)", s.handleJobResult},
-		{"GET", "/v1/jobs/{id}/stream", "stable", "", "job's NDJSON stream: replayed prefix + live tail", s.handleJobStream},
-		{"DELETE", "/v1/jobs/{id}", "stable", "", "cancel or forget a job", s.handleJobDelete},
-		{"GET", "/v1/stats", "stable", "", "cache/engine/job/dispatch counters", s.handleStats},
-		{"GET", "/v1/replicas", "stable", "", "replica-dispatch membership, health, and counters", s.handleReplicas},
-		{"GET", "/v1/healthz", "stable", "", "liveness + the same counters", s.handleHealthz},
-		{"GET", "/healthz", "deprecated", "/v1/healthz", "legacy unversioned liveness path", s.handleHealthz},
-		{"GET", "/metrics", "stable", "", "counters in Prometheus text exposition format", s.handleMetrics},
-		{"POST", dispatch.ShardsPath, "internal", "", "replica-to-replica shard-batch execution", s.handleInternalShards},
+		{"GET", "/v1/", "stable", "this discovery document", s.handleDiscovery},
+		{"GET", "/v1/figures", "stable", "catalog of figure/table generators", s.handleFigureList},
+		{"GET", "/v1/figures/{id}", "stable", "one rendered figure (config via query)", s.handleFigure},
+		{"GET", "/v1/experiments/{name}", "stable", "one experiment summary (params via query)", s.handleExperiment},
+		{"POST", "/v1/campaign", "stable", "one campaign simulation (params via body)", s.handleCampaign},
+		{"POST", "/v1/sweep", "stable", "bounded variant-axis sweep", s.handleSweep},
+		{"GET", "/v1/estimate", "stable", "analytical sweep estimate (query spelling)", s.handleEstimateGet},
+		{"POST", "/v1/estimate", "stable", "analytical sweep estimate (body spelling)", s.handleEstimate},
+		{"GET", "/v1/stream/sweep", "stable", "sweep streamed as NDJSON, one line per variant", s.handleStreamSweep},
+		{"GET", "/v1/stream/experiments/{name}", "stable", "experiment streamed as NDJSON, one line per shard", s.handleStreamExperiment},
+		{"POST", "/v1/jobs", "stable", "async submission of a sweep/estimate/campaign", s.handleJobSubmit},
+		{"GET", "/v1/jobs", "stable", "list live jobs (paginated, filterable)", s.handleJobList},
+		{"GET", "/v1/jobs/{id}", "stable", "job state + per-shard progress", s.handleJobStatus},
+		{"GET", "/v1/jobs/{id}/result", "stable", "finished job's response (replayable)", s.handleJobResult},
+		{"GET", "/v1/jobs/{id}/stream", "stable", "job's NDJSON stream: replayed prefix + live tail", s.handleJobStream},
+		{"DELETE", "/v1/jobs/{id}", "stable", "cancel or forget a job", s.handleJobDelete},
+		{"GET", "/v1/stats", "stable", "cache/engine/job/dispatch counters", s.handleStats},
+		{"GET", "/v1/replicas", "stable", "replica-dispatch membership, health, and counters", s.handleReplicas},
+		{"GET", "/v1/healthz", "stable", "liveness + the same counters", s.handleHealthz},
+		{"GET", "/metrics", "stable", "counters in Prometheus text exposition format", s.handleMetrics},
+		{"POST", dispatch.ShardsPath, "internal", "replica-to-replica shard-batch execution", s.handleInternalShards},
 	}
 }
 
@@ -76,7 +72,6 @@ type routeInfo struct {
 	Method      string `json:"method"`
 	Path        string `json:"path"`
 	Stability   string `json:"stability"`
-	Successor   string `json:"successor,omitempty"`
 	Description string `json:"description"`
 }
 
@@ -94,7 +89,6 @@ func (s *Server) handleDiscovery(w http.ResponseWriter, r *http.Request) {
 			Method:      rt.method,
 			Path:        rt.path,
 			Stability:   rt.stability,
-			Successor:   rt.successor,
 			Description: rt.desc,
 		})
 	}

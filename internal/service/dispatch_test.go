@@ -341,7 +341,6 @@ func TestDiscoveryDocument(t *testing.T) {
 			Method    string `json:"method"`
 			Path      string `json:"path"`
 			Stability string `json:"stability"`
-			Successor string `json:"successor"`
 		} `json:"routes"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
@@ -350,81 +349,36 @@ func TestDiscoveryDocument(t *testing.T) {
 	if doc.Service != "gpuvard" || doc.API != "v1" {
 		t.Fatalf("doc header = %s/%s", doc.Service, doc.API)
 	}
-	byRoute := map[string]struct{ stability, successor string }{}
+	byRoute := map[string]string{}
 	for _, rt := range doc.Routes {
-		byRoute[rt.Method+" "+rt.Path] = struct{ stability, successor string }{rt.Stability, rt.Successor}
+		if rt.Stability != "stable" && rt.Stability != "internal" {
+			t.Errorf("%s %s has stability %q, want stable or internal", rt.Method, rt.Path, rt.Stability)
+		}
+		byRoute[rt.Method+" "+rt.Path] = rt.Stability
 	}
-	for route, want := range map[string]struct{ stability, successor string }{
-		"GET /v1/":                   {"stable", ""},
-		"POST /v1/sweep":             {"stable", ""},
-		"GET /healthz":               {"deprecated", "/v1/healthz"},
-		"POST /v1/internal/shards":   {"internal", ""},
-		"GET /v1/replicas":           {"stable", ""},
-		"GET /v1/jobs/{id}/stream":   {"stable", ""},
-		"DELETE /v1/jobs/{id}":       {"stable", ""},
-		"GET /v1/stream/sweep":       {"stable", ""},
-		"GET /metrics":               {"stable", ""},
-		"GET /v1/experiments/{name}": {"stable", ""},
+	for route, want := range map[string]string{
+		"GET /v1/":                   "stable",
+		"POST /v1/sweep":             "stable",
+		"GET /v1/healthz":            "stable",
+		"POST /v1/internal/shards":   "internal",
+		"GET /v1/replicas":           "stable",
+		"GET /v1/jobs/{id}/stream":   "stable",
+		"DELETE /v1/jobs/{id}":       "stable",
+		"GET /v1/stream/sweep":       "stable",
+		"GET /metrics":               "stable",
+		"GET /v1/experiments/{name}": "stable",
 	} {
 		got, ok := byRoute[route]
 		if !ok {
 			t.Fatalf("discovery document is missing %s", route)
 		}
-		if got.stability != want.stability || got.successor != want.successor {
-			t.Fatalf("%s = %+v, want %+v", route, got, want)
+		if got != want {
+			t.Fatalf("%s stability = %q, want %q", route, got, want)
 		}
 	}
 	// The exact-match registration must not shadow unrouted /v1/* paths.
 	if rr := doReq(t, srv, "GET", "/v1/nonsense", ""); rr.Code != 404 {
 		t.Fatalf("GET /v1/nonsense = %d, want 404", rr.Code)
-	}
-}
-
-func TestLegacyCapsWDeprecationHeaders(t *testing.T) {
-	srv := testServer()
-	defer srv.Close()
-
-	legacy := doReq(t, srv, "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"caps_w":[300,250]}`)
-	if legacy.Code != 200 {
-		t.Fatalf("legacy sweep: %d %s", legacy.Code, legacy.Body)
-	}
-	if legacy.Header().Get("Deprecation") != "true" {
-		t.Fatal("caps_w response must carry Deprecation: true")
-	}
-	if link := legacy.Header().Get("Link"); !strings.Contains(link, `rel="successor-version"`) {
-		t.Fatalf("caps_w Link header = %q, want a successor-version relation", link)
-	}
-
-	modern := doReq(t, srv, "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[300,250]}`)
-	if modern.Code != 200 {
-		t.Fatalf("modern sweep: %d %s", modern.Code, modern.Body)
-	}
-	if modern.Header().Get("Deprecation") != "" {
-		t.Fatal("axis spelling must not carry a Deprecation header")
-	}
-	// Both spellings share one cache entry and byte-identical bodies —
-	// the deprecation is headers-only.
-	if legacy.Body.String() != modern.Body.String() {
-		t.Fatal("legacy and modern spellings must serve byte-identical bodies")
-	}
-	if modern.Header().Get("X-Cache") != "hit" {
-		t.Fatalf("modern spelling should hit the legacy spelling's cache entry, got %q", modern.Header().Get("X-Cache"))
-	}
-
-	est := doReq(t, srv, "GET", "/v1/estimate?cluster=CloudLab&iterations=2&caps_w=300,250,200", "")
-	if est.Code != 200 {
-		t.Fatalf("legacy estimate: %d %s", est.Code, est.Body)
-	}
-	if est.Header().Get("Deprecation") != "true" {
-		t.Fatal("caps_w estimate must carry Deprecation: true")
-	}
-
-	job := doReq(t, srv, "POST", "/v1/jobs", `{"kind":"sweep","sweep":{"cluster":"CloudLab","iterations":2,"caps_w":[290]}}`)
-	if job.Code != 202 {
-		t.Fatalf("legacy job submit: %d %s", job.Code, job.Body)
-	}
-	if job.Header().Get("Deprecation") != "true" {
-		t.Fatal("caps_w job submission must carry Deprecation: true")
 	}
 }
 

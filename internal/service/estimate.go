@@ -57,13 +57,11 @@ func (s *Server) handleEstimateGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, req *sweepRequest) {
-	legacy := len(req.CapsW) > 0
 	key, compute, status, err := estimateComputation(req)
 	if err != nil {
 		writeError(w, status, errCode(err, status), "%v", err)
 		return
 	}
-	markLegacySweep(w, legacy)
 	s.serveCached(w, r, key, compute)
 }
 

@@ -11,8 +11,7 @@ package service
 //   - normalization never panics, whatever the bytes;
 //   - an error is always classified with a 4xx client status;
 //   - a success leaves the request in canonical form: axis parsed,
-//     caps_w folded away, every value valid for its axis, all defaults
-//     filled;
+//     every value valid for its axis, all defaults filled;
 //   - normalization is idempotent — re-normalizing a normalized request
 //     is a fixed point with a stable cache fingerprint (the property
 //     the response cache's coalescing correctness rests on).
@@ -37,19 +36,18 @@ func decodeStrict(body []byte, v any) error {
 // decode + normalize path the handler uses, including the variant-axis
 // parsing and per-axis value validation.
 func FuzzSweepRequest(f *testing.F) {
-	// Seed corpus: every axis, the legacy spelling, defaulted fields,
-	// and representative malformed shapes (bad axis, mixed spellings,
-	// out-of-range values, truncated JSON).
+	// Seed corpus: every axis, defaulted fields, and representative
+	// malformed shapes (bad axis, out-of-range values, truncated JSON).
 	for _, seed := range []string{
 		`{"cluster":"CloudLab","axis":"powercap","values":[300,250,200]}`,
 		`{"axis":"seed","values":[1,2,3]}`,
 		`{"axis":"ambient","values":[-2,0,2]}`,
 		`{"axis":"fraction","values":[0.25,0.5,1]}`,
-		`{"caps_w":[250]}`,
+		`{"values":[250]}`,
 		`{"workload":"resnet","cluster":"Summit","seed":7,"fraction":0.1,"runs":2,"iterations":4,"axis":"powercap","values":[0]}`,
 		`{"axis":"voltage","values":[1]}`,
-		`{"axis":"seed","caps_w":[250]}`,
-		`{"caps_w":[250],"values":[250]}`,
+		`{"axis":"seed","values":[250]}`,
+		`{"axis":"powercap","values":[250,250]}`,
 		`{"axis":"seed","values":[1.5]}`,
 		`{"axis":"fraction","values":[2]}`,
 		`{"axis":"ambient","values":[40]}`,
@@ -57,7 +55,7 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"iterations":-1,"values":[250]}`,
 		`{"cluster":"Atlantis","values":[250]}`,
 		`{"workload":"doom","values":[250]}`,
-		`{"caps_w":`,
+		`{"values":`,
 		`{"unknown_field":1,"values":[250]}`,
 		`{"values":[250,200],"adaptive":true,"threshold":0.05}`,
 		`{"values":[250],"adaptive":true,"threshold":0}`,
@@ -82,9 +80,6 @@ func FuzzSweepRequest(f *testing.F) {
 		// Canonical-form invariants on success.
 		if req.Axis != string(axis) {
 			t.Errorf("normalized axis field %q does not match parsed axis %q", req.Axis, axis)
-		}
-		if len(req.CapsW) != 0 {
-			t.Error("caps_w survived normalization; it must fold into axis/values")
 		}
 		limit := maxSweepVariants
 		if req.Adaptive {
@@ -129,7 +124,7 @@ func FuzzJobEnvelope(f *testing.F) {
 	for _, seed := range []string{
 		`{"kind":"sweep","sweep":{"cluster":"CloudLab","axis":"powercap","values":[250]}}`,
 		`{"kind":"sweep","class":"interactive","sweep":{"axis":"seed","values":[7]}}`,
-		`{"kind":"sweep","class":"batch","sweep":{"caps_w":[300,200]}}`,
+		`{"kind":"sweep","class":"batch","sweep":{"values":[300,200]}}`,
 		`{"kind":"campaign","campaign":{"cluster":"CloudLab","days":3}}`,
 		`{"kind":"campaign","campaign":{"cluster":"Vortex","injection":{"day":4,"node_id":"v003-n01","kind":"power-brake"}}}`,
 		`{"kind":"mine-bitcoin"}`,

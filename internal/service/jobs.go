@@ -148,9 +148,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: %v", err)
 		return
 	}
-	legacy := (req.Sweep != nil && len(req.Sweep.CapsW) > 0) ||
-		(req.Estimate != nil && len(req.Estimate.CapsW) > 0)
-
 	// Validation and normalization happen synchronously, so a malformed
 	// submission is rejected with 400/404 up front; only well-formed
 	// computations become jobs.
@@ -214,7 +211,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.registerJobStream(id, st)
 	}
 	snap, _ := s.jobs.Get(id)
-	markLegacySweep(w, legacy)
 	w.Header().Set("Location", jobURL(id))
 	writeJSON(w, http.StatusAccepted, s.jobView(snap))
 }

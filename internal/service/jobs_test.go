@@ -106,7 +106,7 @@ func TestJobSweepByteIdenticalToSync(t *testing.T) {
 
 // TestJobPrimesResponseCache: a finished job's computation went through
 // the shared response cache, so the equivalent synchronous request —
-// including the legacy caps_w spelling of the same sweep — replays it
+// here spelled with the axis left to its powercap default — replays it
 // as a hit with identical bytes.
 func TestJobPrimesResponseCache(t *testing.T) {
 	srv := testServer()
@@ -118,13 +118,13 @@ func TestJobPrimesResponseCache(t *testing.T) {
 	}
 	res := doReq(t, srv, "GET", final.ResultURL, "")
 
-	legacy := doReq(t, srv, "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"caps_w":[240]}`)
-	if legacy.Code != 200 || legacy.Header().Get("X-Cache") != "hit" {
-		t.Fatalf("legacy-spelling sweep after job: status %d, X-Cache %q; want a 200 hit",
-			legacy.Code, legacy.Header().Get("X-Cache"))
+	sync := doReq(t, srv, "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"values":[240]}`)
+	if sync.Code != 200 || sync.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("synchronous sweep after job: status %d, X-Cache %q; want a 200 hit",
+			sync.Code, sync.Header().Get("X-Cache"))
 	}
-	if !bytes.Equal(legacy.Body.Bytes(), res.Body.Bytes()) {
-		t.Fatal("legacy caps_w spelling returned different bytes than the axis-form job result")
+	if !bytes.Equal(sync.Body.Bytes(), res.Body.Bytes()) {
+		t.Fatal("synchronous sweep returned different bytes than the job result")
 	}
 }
 

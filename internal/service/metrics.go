@@ -84,10 +84,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sample("gpuvar_engine_transient_shard_errors_total", "", float64(e.TransientShardErrors))
 	family("gpuvar_engine_retries_total", "counter", "Shard re-executions spent by the retry policy.")
 	sample("gpuvar_engine_retries_total", "", float64(e.Retries))
-	family("gpuvar_engine_hedges_total", "counter", "Straggler duplicates launched by the hedge watchdog.")
-	sample("gpuvar_engine_hedges_total", "", float64(e.Hedges))
-	family("gpuvar_engine_hedge_wins_total", "counter", "Hedged duplicates whose result was used.")
-	sample("gpuvar_engine_hedge_wins_total", "", float64(e.HedgeWins))
 	family("gpuvar_engine_budget_tokens", "gauge", "Worker-budget capacity and per-class occupancy.")
 	sample("gpuvar_engine_budget_tokens", label("kind", "capacity"), float64(e.Budget.Capacity))
 	sample("gpuvar_engine_budget_tokens", label("kind", "batch_cap"), float64(e.Budget.BatchCap))

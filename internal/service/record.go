@@ -8,6 +8,10 @@ import (
 	"gpuvar/internal/traffic"
 )
 
+// maxRecordedBody bounds the request body the recorder buffers: the
+// largest body any replayable handler reads.
+const maxRecordedBody = max(maxSweepBody, maxJobBody, maxCampaignBody)
+
 // serveRecorded wraps one request's dispatch with the traffic recorder:
 // the request body is captured (and restored for the handler), the
 // response flows through a hashing tap, and the finished exchange is
@@ -25,12 +29,15 @@ func (s *Server) serveRecorded(w http.ResponseWriter, r *http.Request) {
 	offset := s.recorder.Offset(s.started)
 	var body string
 	if r.Body != nil {
-		b, err := io.ReadAll(r.Body)
-		if err != nil {
-			// The body never fully arrived; the exchange is not
-			// replayable. Serve what we have and skip the record.
+		b, err := io.ReadAll(io.LimitReader(r.Body, maxRecordedBody+1))
+		if err != nil || len(b) > maxRecordedBody {
+			// The body never fully arrived, or it is longer than any
+			// handler reads: the exchange is not replayable, so skip the
+			// record. The handler gets what was read followed by the
+			// rest of the stream, so its own limit and error handling
+			// decide the response, exactly as on a non-recording server.
 			s.recorder.Skip()
-			r.Body = io.NopCloser(bytes.NewReader(b))
+			r.Body = io.NopCloser(io.MultiReader(bytes.NewReader(b), r.Body))
 			s.serveRouted(w, r)
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gpuvar/internal/figures"
@@ -130,5 +131,37 @@ func TestRecordTraceJobsOmitOracle(t *testing.T) {
 	rec := tr.Records[0]
 	if rec.Kind != traffic.KindJobs || rec.Status != 202 || rec.SHA256 != "" {
 		t.Errorf("job record = %+v, want kind jobs, status 202, empty sha256", rec)
+	}
+}
+
+// TestRecordTraceSkipsOversizedBody: a body longer than any handler
+// reads is not buffered into the trace. The handler still sees the
+// whole stream, so the response is the one a non-recording server
+// gives, and no record is written.
+func TestRecordTraceSkipsOversizedBody(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "oversized.trace")
+	srv, err := New(Options{
+		Figures:     figures.Config{Iterations: 2, MLIterations: 2, Runs: 2, SummitFraction: 0.01},
+		RecordTrace: path,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"axis":"seed","values":[1]` + strings.Repeat(" ", maxRecordedBody) + `}`
+	got := doReq(t, srv, "POST", "/v1/sweep", body)
+	want := doReq(t, testServer(), "POST", "/v1/sweep", body)
+	if got.Code != want.Code || got.Body.String() != want.Body.String() {
+		t.Errorf("recording server answered %d %s, non-recording server %d %s",
+			got.Code, got.Body, want.Code, want.Body)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := traffic.DecodeFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Records) != 0 {
+		t.Errorf("trace has %d records, want none for an oversized body", len(tr.Records))
 	}
 }

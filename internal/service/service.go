@@ -5,8 +5,8 @@
 // Routes (all under /v1; see API.md for the full reference):
 //
 //	GET    /v1/                   discovery document: every route with
-//	                              its method, stability class (stable,
-//	                              deprecated, internal), and successor
+//	                              its method and stability class
+//	                              (stable, internal)
 //	GET    /v1/figures            catalog of figure/table generators
 //	GET    /v1/figures/{id}       one rendered figure (config via query)
 //	GET    /v1/experiments/{name} one experiment summary (params via query)
@@ -893,14 +893,8 @@ func (s *Server) healthStatus() string {
 
 // handleHealthz answers liveness probes and exposes the same counters
 // as /v1/stats, so a single probe shows both that the server is up and
-// whether the engine is draining or wedged. The legacy unversioned
-// /healthz spelling still answers but advertises its successor via the
-// Deprecation and Link headers (RFC 8594 style).
+// whether the engine is draining or wedged.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/healthz" {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/healthz>; rel="successor-version"`)
-	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(healthzResponse{OK: true, Status: s.healthStatus(), statsResponse: s.snapshot()})
 }

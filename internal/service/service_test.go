@@ -84,14 +84,14 @@ func TestRoutes(t *testing.T) {
 		{"campaign unknown kind", "POST", "/v1/campaign", `{"cluster":"CloudLab","days":2,"injection":{"kind":"rust"}}`, 400, "unknown defect kind"},
 		{"campaign unknown node", "POST", "/v1/campaign", `{"cluster":"CloudLab","days":2,"injection":{"day":1,"node_id":"nope-n99","kind":"stall"}}`, 400, "unknown injection node"},
 		{"campaign wrong method", "GET", "/v1/campaign", "", 405, ""},
-		{"sweep ok", "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"caps_w":[300,200]}`, 200, `"variants"`},
-		{"sweep defaults", "POST", "/v1/sweep", `{"caps_w":[250]}`, 200, `"value"`},
+		{"sweep ok", "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[300,200]}`, 200, `"variants"`},
+		{"sweep defaults", "POST", "/v1/sweep", `{"values":[250]}`, 200, `"value"`},
 		{"sweep missing values", "POST", "/v1/sweep", `{"cluster":"CloudLab"}`, 400, "values is required"},
-		{"sweep too many values", "POST", "/v1/sweep", `{"caps_w":[` + strings.Repeat("100,", 33) + `100]}`, 400, "max 32"},
-		{"sweep negative cap", "POST", "/v1/sweep", `{"caps_w":[-5]}`, 400, "bad powercap"},
-		{"sweep unknown cluster", "POST", "/v1/sweep", `{"cluster":"Atlantis","caps_w":[250]}`, 404, "unknown cluster"},
-		{"sweep unknown workload", "POST", "/v1/sweep", `{"workload":"doom","caps_w":[250]}`, 404, "unknown workload"},
-		{"sweep bad json", "POST", "/v1/sweep", `{"caps_w":`, 400, "decoding body"},
+		{"sweep too many values", "POST", "/v1/sweep", `{"axis":"powercap","values":[` + strings.Repeat("100,", 33) + `100]}`, 400, "max 32"},
+		{"sweep negative cap", "POST", "/v1/sweep", `{"axis":"powercap","values":[-5]}`, 400, "bad powercap"},
+		{"sweep unknown cluster", "POST", "/v1/sweep", `{"cluster":"Atlantis","axis":"powercap","values":[250]}`, 404, "unknown cluster"},
+		{"sweep unknown workload", "POST", "/v1/sweep", `{"workload":"doom","axis":"powercap","values":[250]}`, 404, "unknown workload"},
+		{"sweep bad json", "POST", "/v1/sweep", `{"values":`, 400, "decoding body"},
 		{"sweep wrong method", "GET", "/v1/sweep", "", 405, ""},
 		{"sweep axis seed", "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"axis":"seed","values":[7,8]}`, 200, `"variants"`},
 		{"sweep axis ambient", "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"axis":"ambient","values":[-2,0,2]}`, 200, `"variants"`},
@@ -100,8 +100,12 @@ func TestRoutes(t *testing.T) {
 		{"sweep fractional seed", "POST", "/v1/sweep", `{"axis":"seed","values":[1.5]}`, 400, "bad seed"},
 		{"sweep bad fraction value", "POST", "/v1/sweep", `{"axis":"fraction","values":[2]}`, 400, "bad fraction"},
 		{"sweep bad ambient value", "POST", "/v1/sweep", `{"axis":"ambient","values":[40]}`, 400, "bad ambient"},
-		{"sweep caps_w with other axis", "POST", "/v1/sweep", `{"axis":"seed","caps_w":[250]}`, 400, "legacy spelling"},
-		{"sweep caps_w and values", "POST", "/v1/sweep", `{"caps_w":[250],"values":[250]}`, 400, "not both"},
+		{"sweep caps_w retired", "POST", "/v1/sweep", `{"caps_w":[250]}`, 400, "unknown field"},
+		{"sweep caps_w with other axis", "POST", "/v1/sweep", `{"axis":"seed","caps_w":[250]}`, 400, "unknown field"},
+		{"sweep caps_w and values", "POST", "/v1/sweep", `{"caps_w":[250],"values":[250]}`, 400, "unknown field"},
+		{"jobs caps_w retired", "POST", "/v1/jobs", `{"kind":"sweep","sweep":{"caps_w":[250]}}`, 400, "unknown field"},
+		{"stream caps_w retired", "GET", "/v1/stream/sweep?caps_w=250", "", 400, "unknown parameter"},
+		{"estimate caps_w retired", "GET", "/v1/estimate?caps_w=250", "", 400, "unknown parameter"},
 		{"jobs bad kind", "POST", "/v1/jobs", `{"kind":"mine-bitcoin"}`, 400, "bad kind"},
 		{"jobs missing payload", "POST", "/v1/jobs", `{"kind":"sweep"}`, 400, `payload (the POST /v1/sweep body)`},
 		{"jobs invalid payload", "POST", "/v1/jobs", `{"kind":"sweep","sweep":{"cluster":"Atlantis","values":[1]}}`, 404, "unknown cluster"},
@@ -114,7 +118,8 @@ func TestRoutes(t *testing.T) {
 		{"health fleet cache", "GET", "/v1/healthz", "", 200, `"admission_skips"`},
 		{"stats", "GET", "/v1/stats", "", 200, `"cache"`},
 		{"stats engine counters", "GET", "/v1/stats", "", 200, `"in_flight_jobs"`},
-		{"health", "GET", "/healthz", "", 200, `"ok"`},
+		{"health legacy path retired", "GET", "/healthz", "", 404, ""},
+		{"health", "GET", "/v1/healthz", "", 200, `"ok"`},
 		{"health v1", "GET", "/v1/healthz", "", 200, `"in_flight_jobs"`},
 		{"unknown route", "GET", "/v1/nope", "", 404, ""},
 	}
@@ -136,7 +141,7 @@ func TestRoutes(t *testing.T) {
 // other axes do not.
 func TestSweepLegacyCapWField(t *testing.T) {
 	srv := testServer()
-	pc := doReq(t, srv, "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"caps_w":[250]}`)
+	pc := doReq(t, srv, "POST", "/v1/sweep", `{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[250]}`)
 	if pc.Code != 200 || !strings.Contains(pc.Body.String(), `"cap_w": 250`) {
 		t.Fatalf("powercap sweep lost the legacy cap_w field: %d %s", pc.Code, pc.Body.String())
 	}

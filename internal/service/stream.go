@@ -6,8 +6,8 @@ package service
 // for Summit-scale runs:
 //
 //	GET /v1/stream/sweep              the POST /v1/sweep body as query
-//	                                  params (values/caps_w comma-
-//	                                  separated); one line per variant
+//	                                  params (values comma-separated);
+//	                                  one line per variant
 //	GET /v1/stream/experiments/{name} the GET /v1/experiments/{name}
 //	                                  query; one line per engine shard
 //	                                  (a per-GPU measurement job)
@@ -244,7 +244,6 @@ func (s *Server) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	legacy := len(req.CapsW) > 0
 	exp, axis, status, err := normalizeSweep(&req)
 	if err != nil {
 		writeError(w, status, errCode(err, status), "%v", err)
@@ -253,7 +252,6 @@ func (s *Server) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 	if s.redirectAffinityMiss(w, directive, sweepCacheKey(req)) {
 		return
 	}
-	markLegacySweep(w, legacy)
 	n := len(req.Values)
 	prefix, err := sweepStreamPrefix(req)
 	if err != nil {

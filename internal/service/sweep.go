@@ -32,13 +32,10 @@ import (
 //	axis: ambient    inlet-temperature offsets in °C (facility what-ifs)
 //	axis: fraction   coverage fractions in (0, 1] (cost ladders)
 //
-// The legacy power-cap-only spelling (caps_w) is still accepted and
-// normalizes to axis=powercap, so both spellings share one cache entry
-// and return byte-identical bodies. A sweep is deadline-bounded,
-// cancelable mid-variant, coalesced like every other response — and,
-// since the sweep body is also a job payload (POST /v1/jobs), the same
-// computation can run asynchronously with polling instead of a held
-// connection.
+// A sweep is deadline-bounded, cancelable mid-variant, coalesced like
+// every other response — and, since the sweep body is also a job
+// payload (POST /v1/jobs), the same computation can run asynchronously
+// with polling instead of a held connection.
 //
 // With "adaptive": true plus a "threshold" tolerance, the sweep is
 // pre-screened by the analytical estimator (see estimate.go): values
@@ -62,7 +59,7 @@ const maxSweepBody = 1 << 16
 
 // sweepRequest is the POST /v1/sweep body (and the "sweep" payload of
 // POST /v1/jobs). The normalized struct (defaults filled, names
-// resolved, caps_w folded into axis/values) is the cache fingerprint.
+// resolved) is the cache fingerprint.
 type sweepRequest struct {
 	Workload   string  `json:"workload"`
 	Cluster    string  `json:"cluster"`
@@ -74,9 +71,6 @@ type sweepRequest struct {
 	// run it at, in response order.
 	Axis   string    `json:"axis,omitempty"`
 	Values []float64 `json:"values,omitempty"`
-	// CapsW is the legacy power-cap-only spelling, normalized into
-	// Axis="powercap" + Values before fingerprinting.
-	CapsW []float64 `json:"caps_w,omitempty"`
 	// Adaptive pre-screens the axis with the analytical estimator and
 	// spends full simulation only where the estimator's error bound or
 	// the curve's local gradient exceeds Threshold (a relative
@@ -90,9 +84,8 @@ type sweepRequest struct {
 
 // sweepVariant is one axis value's outcome. CapW duplicates Value on
 // powercap sweeps only: it is the response field's pre-generalization
-// name, kept so clients written against the caps_w-era schema keep
-// parsing (both request spellings share one cache entry, so the field
-// must appear for the axis, not per spelling).
+// name, kept so clients written against the power-cap-only schema keep
+// parsing.
 type sweepVariant struct {
 	Value    float64  `json:"value"`
 	CapW     *float64 `json:"cap_w,omitempty"`
@@ -133,7 +126,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: %v", err)
 		return
 	}
-	legacy := len(req.CapsW) > 0 // before normalization folds the spelling away
 	key, compute, status, err := sweepComputation(&req)
 	if err != nil {
 		writeError(w, status, errCode(err, status), "%v", err)
@@ -142,21 +134,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if s.redirectAffinityMiss(w, directive, key) {
 		return
 	}
-	markLegacySweep(w, legacy)
 	s.serveCached(w, r, key, compute)
-}
-
-// markLegacySweep advertises the caps_w spelling's deprecation on any
-// response produced from it — the same Deprecation+Link mechanism the
-// legacy /healthz route uses (RFC 8594 style). Only the headers differ:
-// the body stays byte-identical to the axis spelling's, since both
-// normalize onto one cache entry.
-func markLegacySweep(w http.ResponseWriter, legacy bool) {
-	if !legacy {
-		return
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</v1/sweep>; rel="successor-version"; title="axis=powercap with values"`)
 }
 
 // sweepCacheKey fingerprints a NORMALIZED sweep request. The
@@ -269,7 +247,7 @@ func sweepRequestFromQuery(q url.Values) (sweepRequest, error) {
 	var req sweepRequest
 	for k := range q {
 		switch k {
-		case "workload", "cluster", "axis", "seed", "fraction", "runs", "iterations", "values", "caps_w", "adaptive", "threshold":
+		case "workload", "cluster", "axis", "seed", "fraction", "runs", "iterations", "values", "adaptive", "threshold":
 		default:
 			return req, fmt.Errorf("unknown parameter %q", k)
 		}
@@ -323,9 +301,6 @@ func sweepRequestFromQuery(q url.Values) (sweepRequest, error) {
 	if req.Values, err = parseFloatList(q.Get("values")); err != nil {
 		return req, fmt.Errorf("bad values: %v", err)
 	}
-	if req.CapsW, err = parseFloatList(q.Get("caps_w")); err != nil {
-		return req, fmt.Errorf("bad caps_w: %v", err)
-	}
 	return req, nil
 }
 
@@ -346,10 +321,9 @@ func parseFloatList(s string) ([]float64, error) {
 	return out, nil
 }
 
-// normalizeSweep validates the request, resolves names, folds the
-// legacy caps_w spelling into axis/values (and adaptive+threshold-0
-// onto the plain sweep), and fills every defaulted field so the struct
-// is a canonical fingerprint.
+// normalizeSweep validates the request, resolves names, folds
+// adaptive+threshold-0 onto the plain sweep, and fills every defaulted
+// field so the struct is a canonical fingerprint.
 func normalizeSweep(req *sweepRequest) (core.Experiment, core.VariantAxis, int, error) {
 	if err := normalizeAdaptive(req); err != nil {
 		return core.Experiment{}, "", http.StatusBadRequest, err
@@ -392,17 +366,6 @@ func normalizeAdaptive(req *sweepRequest) error {
 }
 
 func normalizeSweepBounded(req *sweepRequest, limit int, tier string) (core.Experiment, core.VariantAxis, int, error) {
-	if len(req.CapsW) > 0 {
-		if req.Axis != "" && req.Axis != string(core.AxisPowerCap) {
-			return core.Experiment{}, "", http.StatusBadRequest,
-				fmt.Errorf("caps_w is the legacy spelling of axis=powercap and cannot combine with axis %q", req.Axis)
-		}
-		if len(req.Values) > 0 {
-			return core.Experiment{}, "", http.StatusBadRequest,
-				fmt.Errorf("give either caps_w or values, not both")
-		}
-		req.Axis, req.Values, req.CapsW = string(core.AxisPowerCap), req.CapsW, nil
-	}
 	if req.Axis == "" {
 		req.Axis = string(core.AxisPowerCap)
 	}

@@ -2,8 +2,8 @@ package service
 
 // Tests for the multi-tenant front door: client identity and request
 // IDs, per-client fair queuing proven over real HTTP, replayable
-// mid-run job streams, /v1/jobs pagination, the /metrics exposition,
-// and the /healthz deprecation signal.
+// mid-run job streams, /v1/jobs pagination, and the /metrics
+// exposition.
 
 import (
 	"bufio"
@@ -109,26 +109,6 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		if e := decodeError(t, rr.Body.Bytes()); e.Code != tt.code || e.Error == "" {
 			t.Errorf("%s %s envelope = %+v, want code %q with a message", tt.method, tt.target, e, tt.code)
 		}
-	}
-}
-
-// TestHealthzDeprecation: the legacy unversioned /healthz carries the
-// deprecation headers pointing at its successor; /v1/healthz does not.
-func TestHealthzDeprecation(t *testing.T) {
-	srv := testServer()
-	legacy := doReq(t, srv, "GET", "/healthz", "")
-	if legacy.Header().Get("Deprecation") != "true" {
-		t.Error("/healthz is missing the Deprecation header")
-	}
-	if link := legacy.Header().Get("Link"); !strings.Contains(link, "/v1/healthz") {
-		t.Errorf("/healthz Link = %q, want the /v1/healthz successor", link)
-	}
-	v1 := doReq(t, srv, "GET", "/v1/healthz", "")
-	if v1.Header().Get("Deprecation") != "" {
-		t.Error("/v1/healthz must not be marked deprecated")
-	}
-	if !bytes.Equal(legacy.Body.Bytes()[:20], v1.Body.Bytes()[:20]) {
-		t.Error("legacy and /v1 healthz bodies diverge")
 	}
 }
 

@@ -28,8 +28,8 @@
 # identities (loadgen -clients 4 -api-key smoke) and asserts the
 # per-client accounting surfaces on /v1/stats and the Prometheus
 # /metrics exposition, a finished job's stream replays through a
-# terminal summary line, responses carry X-Request-ID, and the legacy
-# /healthz spelling advertises its deprecation.
+# terminal summary line, responses carry X-Request-ID, and the retired
+# /healthz path and caps_w sweep spelling are gone.
 #
 # A distributed stage boots a 3-replica fleet wired together with
 # -peers and asserts the dispatch layer's contracts: byte-identity with
@@ -213,20 +213,22 @@ echo "==> smoke: multi-tenant — 4 client identities through the job path"
     -c 8 -n 64
 
 # Per-client accounting must surface on /v1/stats and the Prometheus
-# exposition at /metrics.
+# exposition at /metrics. Both bodies are large, so they are matched
+# from here-strings: under pipefail, `echo | grep -q` fails when grep
+# exits on an early match while echo is still writing.
 STATS=$(http_body GET /v1/stats)
 for c in smoke-0 smoke-1 smoke-2 smoke-3; do
-    if ! echo "$STATS" | grep -q "\"client\":\"$c\""; then
+    if ! grep -q "\"client\":\"$c\"" <<<"$STATS"; then
         echo "smoke: /v1/stats lacks per-client counters for $c" >&2
         exit 1
     fi
 done
 METRICS=$(http_body GET /metrics)
-if ! echo "$METRICS" | grep -q '^gpuvar_client_served_total{client="smoke-0"} '; then
+if ! grep -q '^gpuvar_client_served_total{client="smoke-0"} ' <<<"$METRICS"; then
     echo "smoke: /metrics lacks the per-client served counter" >&2
     exit 1
 fi
-if ! echo "$METRICS" | grep -q '^# TYPE gpuvar_jobs_total counter'; then
+if ! grep -q '^# TYPE gpuvar_jobs_total counter' <<<"$METRICS"; then
     echo "smoke: /metrics is missing the gpuvar_jobs_total counter family" >&2
     exit 1
 fi
@@ -241,35 +243,33 @@ if ! http_body GET "/v1/jobs/$STREAM_ID/stream" | tail -1 | grep -q '"kind":"sum
     exit 1
 fi
 
-# Front-door headers: every response carries a request id, and the
-# legacy /healthz spelling is marked deprecated with its successor.
+# Front-door headers: every response carries a request id. The retired
+# spellings are gone: the unversioned /healthz path is not routed, and
+# a caps_w sweep body is an unknown field.
 if ! http GET /v1/healthz | grep -qi '^X-Request-Id:'; then
     echo "smoke: responses are missing X-Request-ID" >&2
     exit 1
 fi
-if ! http GET /healthz | grep -qi '^Deprecation: true'; then
-    echo "smoke: legacy /healthz is not marked deprecated" >&2
+if ! http GET /healthz | head -1 | grep -q ' 404 '; then
+    echo "smoke: the retired /healthz path still answers" >&2
     exit 1
 fi
-# The legacy caps_w sweep spelling still answers (the same bytes as the
-# axis spelling) but must advertise its deprecation and successor.
-CAPSW_RESP=$(http POST /v1/sweep '{"cluster":"CloudLab","caps_w":[300,250,200]}')
-if ! echo "$CAPSW_RESP" | grep -qi '^Deprecation: true'; then
-    echo "smoke: caps_w sweep response is not marked deprecated" >&2
-    exit 1
-fi
-if ! echo "$CAPSW_RESP" | grep -qi '^Link: .*successor-version'; then
-    echo "smoke: caps_w sweep response lacks the successor Link header" >&2
+if ! http POST /v1/sweep '{"cluster":"CloudLab","caps_w":[300,250,200]}' | head -1 | grep -q ' 400 '; then
+    echo "smoke: the retired caps_w sweep spelling is not rejected with 400" >&2
     exit 1
 fi
 # The discovery document enumerates the API surface, marking stability.
-DISCOVERY=$(http_body GET /v1/)
-for want in '"path":"/v1/sweep"' '"stability":"internal"' '"path":"/v1/internal/shards"' '"successor":"/v1/healthz"'; do
-    if ! echo "$DISCOVERY" | tr -d ' \n' | grep -q "$want"; then
+DISCOVERY=$(http_body GET /v1/ | tr -d ' \n')
+for want in '"path":"/v1/sweep"' '"stability":"internal"' '"path":"/v1/internal/shards"'; do
+    if ! echo "$DISCOVERY" | grep -q "$want"; then
         echo "smoke: GET /v1/ discovery document lacks $want" >&2
         exit 1
     fi
 done
+if echo "$DISCOVERY" | grep -q '"stability":"deprecated"'; then
+    echo "smoke: GET /v1/ discovery document still lists a deprecated route" >&2
+    exit 1
+fi
 
 # The fault-free reference for the chaos stage, captured before the
 # clean server goes away.
@@ -413,12 +413,13 @@ boot_replica() {
 }
 
 # wait_fleet — block until every replica's prober has admitted both of
-# its peers (2x "healthy":true on each /v1/replicas).
+# its peers (2x "healthy":true on each /v1/replicas). Until then grep
+# matches nothing and fails the pipeline, which must not end the script.
 wait_fleet() {
     local addr n
     for addr in $REP1 $REP2 $REP3; do
         for i in $(seq 1 100); do
-            n=$(ADDR=$addr http_body GET /v1/replicas | grep -o '"healthy": *true' | wc -l)
+            n=$(ADDR=$addr http_body GET /v1/replicas | grep -o '"healthy": *true' | wc -l) || true
             [ "$n" -ge 2 ] && continue 2
             sleep 0.1
         done
