@@ -156,7 +156,7 @@ fuzz-smoke:
 # verify is the tier-1 gate plus the cheap guards: gofmt, vet,
 # staticcheck, tests with the coverage floor, a fuzz smoke, a
 # one-iteration benchmark smoke run, and the benchmark-regression gate
-# against the committed trajectory (BENCH_9.json). The stage sequence
+# against the committed trajectory (BENCH_10.json). The stage sequence
 # lives in scripts/verify.sh, which reports which stage failed.
 verify:
 	scripts/verify.sh

@@ -228,7 +228,12 @@
 // GET /v1/experiments body — golden tests pin this for all four sweep
 // axes and both endpoints, and a completed stream deposits its verified
 // body into the response cache so the synchronous twin replays it as a
-// hit. Streams run under the batch-length deadline (-job-timeout) and
+// hit. Every stream, direct or async job, is one mechanism: the
+// computation appends its lines to a bounded line log and the client
+// follows that log, so a slow reader never blocks an engine worker. A
+// sweep's log is bounded by its variant count and an experiment's by
+// the cluster's GPU count (every measurement job holds at least one
+// GPU). Streams run under the batch-length deadline (-job-timeout) and
 // abort mid-shard on client disconnect; cmd/loadgen -stream reassembles
 // them under load, asserts identity, and reports time-to-first-line.
 //
@@ -351,14 +356,16 @@
 // reasonable, generated otherwise), errors are a uniform JSON envelope
 // with a stable machine-readable code.
 //
-// Async jobs also record their stream: each job's NDJSON lines (the
-// same schema and byte-identical payload chunks as the synchronous
-// streaming endpoints) land in a bounded replayable line log, and GET
+// Async jobs also record their stream in the same line log the
+// streaming endpoints serve from (the same schema and byte-identical
+// payload chunks), kept for the job's lifetime, and GET
 // /v1/jobs/{id}/stream attaches at ANY point in the job's life —
 // replaying everything already emitted, then following live until the
 // terminal line. A mid-run attach therefore delivers the identical
 // bytes a from-the-start reader saw, and the concatenated payloads
-// equal the job's result body exactly. GET /v1/jobs is paginated
+// equal the job's result body exactly. A job replayed from the journal
+// streams as an empty start line and a summary carrying the whole
+// result. GET /v1/jobs is paginated
 // (limit/page_token over stable creation order) and filterable by
 // client and state. API.md documents the full surface.
 //

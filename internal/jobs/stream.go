@@ -3,18 +3,17 @@ package jobs
 import "sync"
 
 // Log is a bounded, replayable append-only line log — the backing store
-// of a job's live stream (GET /v1/jobs/{id}/stream). The producer (the
-// job's engine sink and its finalizer) appends rendered NDJSON lines;
-// any number of followers replay from an offset and then block for
-// more, so a client attaching mid-run sees every previously emitted
-// line before following live.
+// of every service stream (GET /v1/stream/* and /v1/jobs/{id}/stream).
+// The producer (the computation's engine sink and its terminal line)
+// appends rendered NDJSON lines; any number of followers replay from an
+// offset and then block for more, so a client attaching mid-run sees
+// every previously emitted line before following live.
 //
-// The log is bounded (max lines): a producer that outruns the bound —
-// impossible for the service's sweep streams, whose shard count is
-// capped far below the default — truncates the buffered history
-// instead of growing without bound. A truncated log can no longer
-// replay a byte-identical prefix, so followers check Truncated and
-// fall back to serving the finished body whole.
+// The log is bounded (max lines): a producer that outruns the bound
+// truncates the buffered history instead of growing without bound. A
+// truncated log can no longer replay a byte-identical prefix, so
+// followers check Truncated and end with an in-band error pointing at
+// the complete body.
 type Log struct {
 	mu        sync.Mutex
 	max       int
@@ -70,13 +69,6 @@ func (l *Log) Truncated() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.truncated
-}
-
-// Closed reports whether the log is complete.
-func (l *Log) Closed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.closed
 }
 
 // Next returns the lines from offset `from` onward, whether the log is

@@ -85,14 +85,21 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, errCode(err, status), "%v", err)
 		return
 	}
-	key := experimentCacheKey(req)
-	s.serveCached(w, r, key, func(ctx context.Context) (*cachedResponse, error) {
-		res, err := core.RunCtx(ctx, exp)
+	s.serveCached(w, r, experimentCacheKey(req), experimentComputation(req, exp))
+}
+
+// experimentComputation renders one experiment's response — shared by
+// the synchronous handler and the streaming handler, which attaches its
+// shard sink to the context. The run goes through the
+// streamExperimentRun seam (core.RunCtx in production).
+func experimentComputation(req experimentRequest, exp core.Experiment) func(context.Context) (*cachedResponse, error) {
+	return func(ctx context.Context) (*cachedResponse, error) {
+		res, err := streamExperimentRun(ctx, exp)
 		if err != nil {
 			return nil, err
 		}
 		return jsonResponse(renderExperiment(req, res))
-	})
+	}
 }
 
 // parseExperiment resolves the request's workload/cluster and

@@ -176,7 +176,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		if s.dispatcher != nil {
 			ctx = dispatch.NewContext(ctx, s.dispatcher)
 		}
-		if st != nil {
+		if st != nil && req.Kind == "sweep" {
 			ctx = st.sinkContext(ctx)
 		}
 		res, _, err := s.cache.do(ctx, key, compute)

@@ -1,60 +1,47 @@
 package service
 
 // Replayable job streams: every async job records the NDJSON lines it
-// would have streamed — the same streamLine schema and byte-identical
-// payload chunks as GET /v1/stream/sweep — into a bounded, replayable
-// line log (jobs.Log). GET /v1/jobs/{id}/stream attaches at any point
-// in the job's life: it first replays every previously emitted line,
-// then follows live appends until the terminal summary/error line.
-// Concatenating the payloads of a completed job stream reproduces the
-// job's result body (and therefore the synchronous endpoint's body)
-// byte for byte.
+// would have streamed — the same lineStream as GET /v1/stream/sweep,
+// with byte-identical payload chunks — and GET /v1/jobs/{id}/stream
+// attaches at any point in the job's life: it first replays every
+// previously emitted line, then follows live appends until the terminal
+// summary/error line. Concatenating the payloads of a completed job
+// stream reproduces the job's result body (and therefore the
+// synchronous endpoint's body) byte for byte.
 //
-// Line production has three sources, stitched so the invariant holds on
-// every path:
+// Line production has three sources:
 //
 //   - Submit appends the start line (the body prefix — everything of
 //     the response known before any shard completes), so a follower
 //     attaching immediately after the 202 replays real content.
-//   - A sweep job's computation runs with a shard sink on its context
-//     (the same engine.WithSink channel the streaming endpoint uses):
-//     each completed variant appends its ordered body chunk. A job that
-//     COALESCES onto an in-flight identical computation — or replays a
-//     cached result — emits no shard lines; the shards belong to the
-//     flight that started first.
+//   - A sweep job's computation runs with the stream's shard sink on
+//     its context: each completed variant appends its ordered body
+//     chunk. A job that COALESCES onto an in-flight identical
+//     computation — or replays a cached result — emits no shard lines;
+//     the shards belong to the flight that started first. Estimate and
+//     campaign jobs have no top-level shards to stream.
 //   - A finalizer goroutine wakes on the job's terminal transition and
-//     appends the closing line: the body suffix when the shard lines
-//     assembled the full body, the whole remaining body when they did
-//     not (coalesced/cached sweeps, campaign jobs — whose simulation
-//     has no top-level shard structure to stream), or an in-band error
-//     line for failed/canceled jobs. Then it closes the log, ending
-//     every follower.
+//     finishes the stream: the summary carries whatever of the result
+//     body the earlier lines did not, or an in-band error line ends a
+//     failed or canceled job.
 //
-// Journal-replayed jobs predate their process and have no log; the
-// stream handler synthesizes the two-line whole-body form from the
-// replayed result instead.
+// Journal-replayed jobs predate their process and recorded no lines;
+// their stream is built on attach as the two-line whole-body form.
 
 import (
-	"bytes"
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
-	"gpuvar/internal/core"
-	"gpuvar/internal/engine"
 	"gpuvar/internal/jobs"
 )
 
-// jobStreamLogLines sizes one job's line log: start + one line per
+// jobStreamLogLines sizes one stream's line log: start + one line per
 // top-level shard + terminal, with generous headroom. Adaptive sweeps
 // can carry up to maxEstimateVariants shards, so the bound scales with
-// the job instead of assuming the plain-sweep cap. A producer exceeding
-// it truncates the log (jobs.Log) and the stream falls back to an
-// in-band error — it can no longer replay a byte-identical prefix.
+// the stream instead of assuming the plain-sweep cap. A producer
+// exceeding it truncates the log (jobs.Log) and the stream falls back
+// to an in-band error — it can no longer replay a byte-identical
+// prefix.
 func jobStreamLogLines(shards int) int {
 	if n := 2*shards + 16; n > 4*maxSweepVariants {
 		return n
@@ -62,127 +49,41 @@ func jobStreamLogLines(shards int) int {
 	return 4 * maxSweepVariants
 }
 
-// jobStream is one job's recorded stream. The unsynchronized fields
-// (assembled, emittedShards, broken) are written strictly in
-// happens-before order: the submit handler (start line) → the engine's
-// serialized sink calls → the finalizer (which runs after the job's
-// done channel closes, itself after the computation returned).
-type jobStream struct {
-	kind   string // "sweep" | "estimate" | "campaign"
-	prefix string
-	axis   core.VariantAxis // sweep only
-	shards int              // expected top-level shard count (sweep only)
-	marked bool             // adaptive sweep: chunks carry source/bound
-	log    *jobs.Log
-
-	assembled     bytes.Buffer // concatenation of every emitted payload
-	emittedShards int
-	broken        bool // a line failed to render; fall back, never mix
-}
-
-// newJobStream builds the stream for a VALIDATED job request (the
-// payloads are normalized in place by jobComputation) and appends its
-// start line. A nil return (a marshal failure — not reachable for our
-// own structs) means the job runs streamless; the handler then serves
-// the synthesized whole-body form.
-func (s *Server) newJobStream(req *jobRequest) *jobStream {
+// newJobStream starts the stream for a VALIDATED job request (the
+// payloads are normalized in place by jobComputation). A nil return (a
+// marshal failure — not reachable for our own structs) means the job
+// runs streamless; its stream is then built like a replayed job's.
+func (s *Server) newJobStream(req *jobRequest) *lineStream {
+	var prefix string
+	var err error
 	switch req.Kind {
 	case "sweep":
-		prefix, err := sweepStreamPrefix(*req.Sweep)
+		st, err := newSweepStream(*req.Sweep)
 		if err != nil {
 			return nil
 		}
-		axis, err := core.ParseVariantAxis(req.Sweep.Axis)
-		if err != nil {
-			return nil
-		}
-		st := &jobStream{
-			kind:   "sweep",
-			prefix: prefix,
-			axis:   axis,
-			shards: len(req.Sweep.Values),
-			marked: req.Sweep.Adaptive,
-			log:    jobs.NewLog(jobStreamLogLines(len(req.Sweep.Values))),
-		}
-		st.emit(streamLine{Kind: "start", Shards: st.shards, Shard: -1, Payload: prefix})
 		return st
 	case "estimate":
-		// An estimate computes in one piece (no top-level engine shards
-		// to stream), so the job records only the start line; the
-		// finalizer's whole-body branch closes it.
-		prefix, err := sweepStreamPrefix(*req.Estimate)
-		if err != nil {
-			return nil
-		}
-		st := &jobStream{kind: "estimate", prefix: prefix, log: jobs.NewLog(jobStreamLogLines(0))}
-		st.emit(streamLine{Kind: "start", Shards: 0, Shard: -1, Payload: prefix})
-		return st
+		prefix, err = sweepStreamPrefix(*req.Estimate)
 	case "campaign":
-		prefix, err := campaignStreamPrefix(*req.Campaign)
-		if err != nil {
-			return nil
-		}
-		st := &jobStream{kind: "campaign", prefix: prefix, log: jobs.NewLog(jobStreamLogLines(0))}
-		st.emit(streamLine{Kind: "start", Shards: 0, Shard: -1, Payload: prefix})
-		return st
+		prefix, err = requestPrefix(*req.Campaign)
+	default:
+		return nil
 	}
-	return nil
-}
-
-// campaignStreamPrefix is the request section of the synchronous
-// campaign body — everything known before the simulation runs (the
-// campaign analogue of experimentStreamPrefix).
-func campaignStreamPrefix(req campaignRequest) (string, error) {
-	reqJSON, err := marshalSection(req)
-	return "{\n  \"request\": " + reqJSON + ",\n", err
-}
-
-// emit renders one line into the log and folds its payload into the
-// assembled-body check.
-func (st *jobStream) emit(l streamLine) {
-	b, err := json.Marshal(l)
 	if err != nil {
-		st.broken = true
-		return
+		return nil
 	}
-	st.log.Append(string(b))
-	st.assembled.WriteString(l.Payload)
-	if l.Kind == "shard" {
-		st.emittedShards++
-	}
-}
-
-// sinkContext attaches the stream's shard sink to a sweep job's
-// computation context. The engine serializes sink calls in shard order,
-// so the emitted chunks concatenate into the variants section exactly
-// as the streaming endpoint's do.
-func (st *jobStream) sinkContext(ctx context.Context) context.Context {
-	if st.kind != "sweep" {
-		return ctx
-	}
-	sink := engine.ShardSink(func(shard, total int, v any) {
-		if st.broken {
-			return // a lost chunk must not be followed by later shards
-		}
-		p := v.(core.VariantPoint)
-		chunk, err := sweepVariantChunk(st.axis, st.marked, p, shard, total)
-		if err != nil {
-			st.broken = true
-			return
-		}
-		val := p.Value
-		st.emit(streamLine{Kind: "shard", Shards: total, Shard: shard, Value: &val, Payload: chunk})
-	})
-	return engine.WithSink(ctx, sink)
+	return newLineStream(prefix, 0, jobStreamLogLines(0))
 }
 
 // registerJobStream publishes a job's stream for followers and starts
 // its finalizer. Stale entries (jobs the manager has since evicted) are
 // pruned once the table outgrows the retention bound.
-func (s *Server) registerJobStream(id string, st *jobStream) {
+func (s *Server) registerJobStream(id string, st *lineStream) {
+	st.job = id
 	s.streams.mu.Lock()
 	if s.streams.byID == nil {
-		s.streams.byID = make(map[string]*jobStream)
+		s.streams.byID = make(map[string]*lineStream)
 	}
 	if len(s.streams.byID) > s.opts.MaxRetainedJobs {
 		for old := range s.streams.byID {
@@ -194,79 +95,43 @@ func (s *Server) registerJobStream(id string, st *jobStream) {
 	s.streams.byID[id] = st
 	s.streams.mu.Unlock()
 	if done, ok := s.jobs.Done(id); ok {
-		go s.finalizeJobStream(id, st, done)
+		go func() {
+			<-done
+			s.finishJobStream(st)
+		}()
 	}
 }
 
-func (s *Server) jobStream(id string) *jobStream {
+func (s *Server) jobStream(id string) *lineStream {
 	s.streams.mu.Lock()
 	defer s.streams.mu.Unlock()
 	return s.streams.byID[id]
 }
 
-// finalizeJobStream appends the job's terminal line once it finishes
-// and closes the log. For a done job it verifies the invariant first:
-// the lines already emitted plus the closing chunk must equal the
-// result body exactly — if the shard lines assembled the variants
-// section, the suffix closes it; if no shards were emitted (coalesced,
-// cached, campaign), the whole remaining body is the closing chunk.
-func (s *Server) finalizeJobStream(id string, st *jobStream, done <-chan struct{}) {
-	<-done
-	defer st.log.Close()
-	res, snap, ok := s.jobs.Result(id)
+// finishJobStream ends a terminal job's stream with its result body, or
+// with an in-band error for a failed or canceled job. It reports false
+// when the job's result is already gone.
+func (s *Server) finishJobStream(st *lineStream) bool {
+	res, snap, ok := s.jobs.Result(st.job)
 	if !ok {
-		st.emit(streamLine{Kind: "error", Shards: st.shards, Shard: -1,
-			Error: fmt.Sprintf("job %s was evicted before its stream completed; its result is gone", id)})
-		return
+		st.fail(fmt.Sprintf("job %s was evicted before its stream completed; its result is gone", st.job))
+		return false
 	}
 	switch snap.State {
 	case jobs.StateDone:
-		body := res.body
-		if !st.broken && !st.log.Truncated() {
-			if st.kind == "sweep" && st.emittedShards == st.shards &&
-				bytes.Equal(append(append([]byte{}, st.assembled.Bytes()...), sweepStreamSuffix...), body) {
-				st.emitSummary(sweepStreamSuffix, body)
-				return
-			}
-			if st.emittedShards == 0 && bytes.HasPrefix(body, []byte(st.prefix)) {
-				st.emitSummary(string(body[len(st.prefix):]), body)
-				return
-			}
-		}
-		// Defensive: the emitted lines cannot extend to the result body
-		// (a render failure, a truncated log, or schema drift). Followers
-		// get an explicit in-band error instead of a corrupt reassembly.
-		st.emit(streamLine{Kind: "error", Shards: st.shards, Shard: -1,
-			Error: fmt.Sprintf("internal: stream diverged from the job result; fetch %s/result", jobURL(id))})
+		st.finish(res.body)
 	case jobs.StateCanceled:
-		st.emit(streamLine{Kind: "error", Shards: st.shards, Shard: -1,
-			Error: fmt.Sprintf("job %s was canceled", id)})
+		st.fail(fmt.Sprintf("job %s was canceled", st.job))
 	default: // failed
-		st.emit(streamLine{Kind: "error", Shards: st.shards, Shard: -1,
-			Error: fmt.Sprintf("job %s failed: %s", id, snap.Error)})
+		st.fail(fmt.Sprintf("job %s failed: %s", st.job, snap.Error))
 	}
+	return true
 }
 
-// emitSummary appends the terminal summary line: the closing payload
-// chunk plus the full body's length and sha256, exactly as the
-// streaming endpoints' summaries describe their reassembled bodies.
-func (st *jobStream) emitSummary(payload string, body []byte) {
-	sum := sha256.Sum256(body)
-	st.emit(streamLine{
-		Kind:    "summary",
-		Shards:  st.shards,
-		Shard:   -1,
-		Payload: payload,
-		Bytes:   len(body),
-		SHA256:  hex.EncodeToString(sum[:]),
-	})
-}
-
-// handleJobStream serves GET /v1/jobs/{id}/stream: replay the job's
-// buffered lines from the beginning, then follow live appends until the
-// log closes (the job's terminal line) or the client disconnects. The
-// producer never blocks on this connection — lines come from the log,
-// not from engine workers.
+// handleJobStream serves GET /v1/jobs/{id}/stream from the job's line
+// log. A job without one — journal-replayed from a previous process —
+// streams as an empty start line and a summary carrying the whole
+// result body.
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.jobs.Get(id); !ok {
@@ -275,83 +140,24 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.jobStream(id)
 	if st == nil {
-		s.serveSynthesizedJobStream(w, r, id)
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	enc := json.NewEncoder(w)
-	ctx := r.Context()
-	for from := 0; ; {
-		lines, done, more := st.log.Next(from)
-		for _, ln := range lines {
-			if _, err := io.WriteString(w, ln+"\n"); err != nil {
-				return // client gone; the producer is unaffected
-			}
+		done, ok := s.jobs.Done(id)
+		if !ok {
+			writeError(w, http.StatusNotFound, "job_not_found", "unknown job %q (finished jobs expire after their TTL)", id)
+			return
 		}
-		if len(lines) > 0 {
-			flush()
+		// Replayed jobs are terminal by construction, but the wait is
+		// honored anyway.
+		select {
+		case <-done:
+		case <-r.Context().Done():
+			return
 		}
-		from += len(lines)
-		if done {
-			break
-		}
-		if more != nil {
-			select {
-			case <-more:
-			case <-ctx.Done():
-				return
-			}
+		st = newLineStream("", 0, jobStreamLogLines(0))
+		st.job = id
+		if !s.finishJobStream(st) {
+			writeError(w, http.StatusNotFound, "job_not_found", "unknown job %q (finished jobs expire after their TTL)", id)
+			return
 		}
 	}
-	if st.log.Truncated() {
-		// The bound was exceeded and the buffered history dropped — no
-		// byte-identical replay is possible. In-band error, like every
-		// other mid-stream failure.
-		_ = enc.Encode(streamLine{Kind: "error", Shards: st.shards, Shard: -1,
-			Error: fmt.Sprintf("stream history truncated; fetch %s/result for the complete body", jobURL(id))})
-		flush()
-	}
-}
-
-// serveSynthesizedJobStream streams a job that has no recorded log — a
-// journal-replayed job from a previous process — as the two-line
-// whole-body form: an empty start line and a summary carrying the
-// entire result body. Non-terminal states cannot occur here (replayed
-// jobs are terminal by construction), but the wait is honored anyway.
-func (s *Server) serveSynthesizedJobStream(w http.ResponseWriter, r *http.Request, id string) {
-	done, ok := s.jobs.Done(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "job_not_found", "unknown job %q (finished jobs expire after their TTL)", id)
-		return
-	}
-	select {
-	case <-done:
-	case <-r.Context().Done():
-		return
-	}
-	res, snap, ok := s.jobs.Result(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "job_not_found", "unknown job %q (finished jobs expire after their TTL)", id)
-		return
-	}
-	sw := newStreamWriter(w)
-	sw.queue(streamLine{Kind: "start", Shards: 0, Shard: -1, Payload: ""})
-	switch snap.State {
-	case jobs.StateDone:
-		// The pump computes Bytes/SHA256 over the accumulated payloads —
-		// here exactly the result body.
-		sw.wait(streamLine{Kind: "summary", Shards: 0, Shard: -1, Payload: string(res.body)})
-	case jobs.StateCanceled:
-		sw.fail(0, fmt.Errorf("job %s was canceled", id))
-	default:
-		sw.fail(0, fmt.Errorf("job %s failed: %s", id, snap.Error))
-	}
+	st.serve(w, r)
 }

@@ -1,11 +1,15 @@
 package service
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
+	"gpuvar/internal/core"
 	"gpuvar/internal/engine"
 	"gpuvar/internal/faults"
 	"gpuvar/internal/figures"
@@ -220,6 +224,65 @@ func TestJobJournalAcrossRestart(t *testing.T) {
 	}
 	if stats.Jobs.Journal == nil || stats.Jobs.Journal.RecoveredTerminal != 1 {
 		t.Fatalf("journal stats on srv2 = %+v, want 1 recovered terminal job", stats.Jobs.Journal)
+	}
+
+	// The replayed job has no recorded lines, so its stream is the
+	// two-line whole-body form: an empty start line, then a summary
+	// carrying the entire result.
+	rr = doReq(t, srv2, "GET", view.URL+"/stream", "")
+	if rr.Code != 200 {
+		t.Fatalf("stream on srv2: %d: %s", rr.Code, rr.Body.String())
+	}
+	lines, payload := decodeStream(t, rr.Body.Bytes())
+	if len(lines) != 2 || lines[0].Payload != "" || lines[1].Kind != "summary" {
+		t.Fatalf("replayed job stream = %+v, want an empty start line and a summary", lines)
+	}
+	sum := sha256.Sum256([]byte(want))
+	if string(payload) != want || lines[1].Bytes != len(want) || lines[1].SHA256 != hex.EncodeToString(sum[:]) {
+		t.Fatal("replayed job stream's summary does not carry the whole result body, its bytes and its sha256")
+	}
+}
+
+// TestStaleServesDeadlineAfterEviction: the stale store answers a real,
+// uninjected server-side failure — a recompute of an evicted key that
+// runs into the request deadline — with the evicted bytes, not a 504.
+func TestStaleServesDeadlineAfterEviction(t *testing.T) {
+	if faults.Armed() {
+		t.Fatal("fault registry armed; this test needs an uninjected failure")
+	}
+	srv := mustNew(Options{
+		Figures:           figures.Config{Iterations: 2, MLIterations: 2, Runs: 2, SummitFraction: 0.01},
+		ResponseCacheSize: 1, // B evicts A into the stale store
+		RequestTimeout:    100 * time.Millisecond,
+	})
+	const (
+		bodyA = `{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[300,250]}`
+		bodyB = `{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[200,150]}`
+	)
+	rr := doReq(t, srv, "POST", "/v1/sweep", bodyA)
+	if rr.Code != 200 {
+		t.Fatalf("sweep A: %d: %s", rr.Code, rr.Body.String())
+	}
+	wantBody := rr.Body.String()
+	if rr = doReq(t, srv, "POST", "/v1/sweep", bodyB); rr.Code != 200 {
+		t.Fatalf("sweep B: %d: %s", rr.Code, rr.Body.String())
+	}
+
+	// Recomputing A now blocks until the request deadline fires.
+	prev := streamSweepRun
+	streamSweepRun = func(ctx context.Context, _ core.Experiment, _ core.VariantAxis, _ []float64) ([]core.VariantPoint, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	defer func() { streamSweepRun = prev }()
+
+	rr = doReq(t, srv, "POST", "/v1/sweep", bodyA)
+	if rr.Code != 200 || rr.Header().Get("X-Degraded") != "stale" {
+		t.Fatalf("A after eviction and deadline: status %d, X-Degraded %q; body: %s",
+			rr.Code, rr.Header().Get("X-Degraded"), rr.Body.String())
+	}
+	if rr.Body.String() != wantBody {
+		t.Fatal("stale bytes differ from A's original response")
 	}
 }
 

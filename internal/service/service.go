@@ -211,7 +211,7 @@ type Server struct {
 	// by job ID (see jobstream.go); pruned against the job manager.
 	streams struct {
 		mu   sync.Mutex
-		byID map[string]*jobStream
+		byID map[string]*lineStream
 	}
 	// degradedServes counts responses answered from the stale store
 	// after a compute failure; lastDegraded (unix nanos) drives the

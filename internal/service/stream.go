@@ -21,6 +21,15 @@ package service
 // chunk plus the body's total length and sha256, so a client can verify
 // the reassembly; on failure an "error" line replaces it.
 //
+// Every stream — these two routes and GET /v1/jobs/{id}/stream — is a
+// lineStream: the computation appends rendered lines to a bounded,
+// replayable line log (jobs.Log) and the client follows it (serve).
+// Engine workers never block on a slow client's socket; they hold
+// worker-budget tokens, and a stalled reader pinning the process-wide
+// budget would defeat the scheduler. A sweep's log is bounded by its
+// variant count; an experiment's by the cluster's GPU count, since every
+// measurement job holds at least one GPU.
+//
 // The shard lines ride the engine's ordered per-shard sink
 // (engine.WithSink): the top-level job's shards — sweep variants,
 // per-GPU measurement jobs — are emitted in shard order the moment each
@@ -30,8 +39,10 @@ package service
 // measurement), so its lines serve as ordered progress beacons and the
 // terminal line carries the body's remainder.
 //
-// Streams run under the interactive scheduling class (a held connection
-// with a client watching) but get the batch-length deadline
+// A direct stream runs the synchronous endpoint's own computation
+// (sweepComputation, experimentComputation) with the sink on its
+// context, under the interactive scheduling class (a held connection
+// with a client watching) but with the batch-length deadline
 // (Options.JobTimeout): streaming exists precisely for computations
 // that outlive RequestTimeout. A client disconnect cancels the
 // computation mid-shard exactly like the synchronous path. Streams
@@ -48,16 +59,19 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"sync"
 
 	"gpuvar/internal/core"
 	"gpuvar/internal/engine"
+	"gpuvar/internal/jobs"
 )
 
-// streamSweepRun and streamExperimentRun are seams for the streaming
-// tests: the gated-shard and mid-stream-disconnect tests swap in
-// engine-backed fakes to control shard timing deterministically.
+// streamSweepRun, adaptiveSweepRun and streamExperimentRun are the
+// runs behind every sweep and experiment computation — synchronous,
+// streamed, or async job. They are seams for the tests: the
+// gated-shard and mid-stream-disconnect tests swap in engine-backed
+// fakes to control shard timing deterministically.
 var (
 	streamSweepRun      = core.VariantSweepCtx
 	adaptiveSweepRun    = core.AdaptiveSweepCtx
@@ -90,102 +104,6 @@ type streamLine struct {
 	Error string `json:"error,omitempty"`
 }
 
-// streamWriter emits NDJSON lines, flushing after each so shard results
-// reach the client immediately, and accumulates the payload bytes for
-// the terminal checksum and the cache deposit.
-//
-// Writes run on a dedicated pump goroutine (start/wait), fed through a
-// queue: engine workers must never block on a slow client's socket —
-// they hold worker-budget tokens, and a stalled reader pinning the
-// process-wide budget would defeat the scheduler. queue() is a cheap
-// mutex append; only the pump blocks on the wire. The queue is bounded
-// in practice by the job's shard count (its contents are the very
-// chunks the writer also accumulates in body).
-type streamWriter struct {
-	enc   *json.Encoder
-	flush func()
-	body  bytes.Buffer // concatenated payloads == the synchronous body
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	lines  []streamLine
-	closed bool
-	done   chan struct{}
-}
-
-// newStreamWriter writes the stream headers and starts the write pump.
-// Callers must end the stream with wait() (after queueing the terminal
-// line) so the pump drains and the payload buffer is complete.
-func newStreamWriter(w http.ResponseWriter) *streamWriter {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no") // proxies must not re-buffer the stream
-	w.WriteHeader(http.StatusOK)
-	sw := &streamWriter{enc: json.NewEncoder(w), flush: func() {}, done: make(chan struct{})}
-	if f, ok := w.(http.Flusher); ok {
-		sw.flush = f.Flush
-	}
-	sw.cond = sync.NewCond(&sw.mu)
-	go sw.pump()
-	return sw
-}
-
-// queue hands one line to the pump without ever blocking on the wire.
-func (sw *streamWriter) queue(l streamLine) {
-	sw.mu.Lock()
-	sw.lines = append(sw.lines, l)
-	sw.mu.Unlock()
-	sw.cond.Signal()
-}
-
-// wait queues the terminal line, closes the queue, and blocks until the
-// pump has written everything (or the connection died — write errors
-// are ignored; the computation's context, not the write path, is what
-// tears a stream down).
-func (sw *streamWriter) wait(terminal streamLine) {
-	sw.mu.Lock()
-	sw.lines = append(sw.lines, terminal)
-	sw.closed = true
-	sw.mu.Unlock()
-	sw.cond.Signal()
-	<-sw.done
-}
-
-// pump drains the queue to the client, one flushed line at a time.
-func (sw *streamWriter) pump() {
-	defer close(sw.done)
-	next := 0
-	for {
-		sw.mu.Lock()
-		for next >= len(sw.lines) && !sw.closed {
-			sw.cond.Wait()
-		}
-		if next >= len(sw.lines) {
-			sw.mu.Unlock()
-			return
-		}
-		l := sw.lines[next]
-		next++
-		sw.mu.Unlock()
-
-		sw.body.WriteString(l.Payload)
-		if l.Kind == "summary" {
-			l.Bytes = sw.body.Len()
-			sum := sha256.Sum256(sw.body.Bytes())
-			l.SHA256 = hex.EncodeToString(sum[:])
-		}
-		_ = sw.enc.Encode(l)
-		sw.flush()
-	}
-}
-
-// fail terminates the stream with an error line carrying the failure
-// (the HTTP status itself went out as 200 with the start line — NDJSON
-// errors are in-band) and waits for the pump.
-func (sw *streamWriter) fail(shards int, err error) {
-	sw.wait(streamLine{Kind: "error", Shards: shards, Shard: -1, Error: err.Error()})
-}
-
 // streamContext bounds a stream's computation: the client's context
 // (disconnect cancels mid-shard) under the batch-length JobTimeout,
 // carrying the replica dispatcher when one is configured — streamed
@@ -198,19 +116,198 @@ func (s *Server) streamContext(r *http.Request) (context.Context, context.Cancel
 	return context.WithTimeout(ctx, s.opts.JobTimeout)
 }
 
-// marshalSection renders v as it appears nested one level deep in a
-// jsonResponse body (MarshalIndent with two-space indent).
-func marshalSection(v any) (string, error) {
-	b, err := json.MarshalIndent(v, "  ", "  ")
-	return string(b), err
+// lineStream is one stream's recorded NDJSON lines: a bounded jobs.Log
+// the producer appends to and any number of clients follow (serve).
+// Direct streams and async jobs share it, so every stream route frames
+// its lines, checks its body and verifies its summary in one place.
+//
+// The unsynchronized fields are written in happens-before order: the
+// constructor (start line) → the engine's serialized sink calls → the
+// terminal finish/fail, which runs after the computation returned.
+// Followers read only the log (and job, set before any follower can
+// find a job's stream).
+type lineStream struct {
+	shards int              // top-level shard count (discovered at fan-out for experiments)
+	axis   core.VariantAxis // sweep only
+	marked bool             // adaptive sweep: chunks carry source/bound
+	job    string           // the job's ID; empty on direct streams
+	log    *jobs.Log
+
+	assembled bytes.Buffer // concatenation of every emitted payload
+	broken    bool         // a line failed to render; the summary must not follow
+}
+
+// newLineStream starts a stream bounded to maxLines lines with its
+// start line: the body prefix known before any shard completes.
+func newLineStream(prefix string, shards, maxLines int) *lineStream {
+	st := &lineStream{shards: shards, log: jobs.NewLog(maxLines)}
+	st.emit(streamLine{Kind: "start", Shards: shards, Shard: -1, Payload: prefix})
+	return st
+}
+
+// emit renders one line into the log and folds its payload into the
+// assembled body.
+func (st *lineStream) emit(l streamLine) {
+	b, err := json.Marshal(l)
+	if err != nil {
+		st.broken = true
+		return
+	}
+	st.log.Append(string(b))
+	st.assembled.WriteString(l.Payload)
+}
+
+// sinkContext attaches the stream's shard sink to a computation's
+// context. The engine serializes sink calls in shard order, so a sweep
+// variant becomes its ordered body chunk and an experiment's per-GPU
+// measurement job an ordered progress line (its summary section needs
+// every measurement, so the body's remainder waits for finish).
+func (st *lineStream) sinkContext(ctx context.Context) context.Context {
+	return engine.WithSink(ctx, func(shard, total int, v any) {
+		if st.broken {
+			return // a lost chunk must not be followed by later shards
+		}
+		st.shards = total
+		switch v := v.(type) {
+		case core.VariantPoint:
+			chunk, err := sweepVariantChunk(st.axis, st.marked, v, shard, total)
+			if err != nil {
+				st.broken = true
+				return
+			}
+			val := v.Value
+			st.emit(streamLine{Kind: "shard", Shards: total, Shard: shard, Value: &val, Payload: chunk})
+		case []core.Measurement:
+			st.emit(streamLine{Kind: "shard", Shards: total, Shard: shard, GPUs: len(v)})
+		}
+	})
+}
+
+// finish ends the stream with its summary: the part of body after the
+// payloads already emitted, plus body's length and sha256. When those
+// payloads are not a prefix of body, or the log lost a line, no
+// byte-identical reassembly is possible and the stream ends with an
+// in-band error instead; finish then reports false, and the body must
+// not be cached as the stream's.
+func (st *lineStream) finish(body []byte) bool {
+	if st.broken || st.log.Truncated() || !bytes.HasPrefix(body, st.assembled.Bytes()) {
+		msg := "internal: stream diverged from the synchronous body"
+		if st.job != "" {
+			msg = fmt.Sprintf("internal: stream diverged from the job result; fetch %s/result", jobURL(st.job))
+		}
+		st.fail(msg)
+		return false
+	}
+	sum := sha256.Sum256(body)
+	st.emit(streamLine{
+		Kind:    "summary",
+		Shards:  st.shards,
+		Shard:   -1,
+		Payload: string(body[st.assembled.Len():]),
+		Bytes:   len(body),
+		SHA256:  hex.EncodeToString(sum[:]),
+	})
+	st.log.Close()
+	return true
+}
+
+// fail ends the stream with an in-band error line (the HTTP status went
+// out as 200 with the start line — NDJSON errors are in-band).
+func (st *lineStream) fail(msg string) {
+	st.emit(streamLine{Kind: "error", Shards: st.shards, Shard: -1, Error: msg})
+	st.log.Close()
+}
+
+// serve writes the stream to a client: every line emitted so far, then
+// each live append, flushed line by line, until the terminal line or
+// the client's disconnect. The producer never blocks on this
+// connection — it appends to the log, and only serve touches the wire.
+func (st *lineStream) serve(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Cache-Control", "no-store")
+	w.Header().Set("X-Accel-Buffering", "no") // proxies must not re-buffer the stream
+	w.WriteHeader(http.StatusOK)
+	flush := func() {}
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
+	}
+	ctx := r.Context()
+	for from := 0; ; {
+		lines, done, more := st.log.Next(from)
+		for _, ln := range lines {
+			if _, err := io.WriteString(w, ln+"\n"); err != nil {
+				return // client gone; the producer is unaffected
+			}
+		}
+		if len(lines) > 0 {
+			flush()
+		}
+		from += len(lines)
+		if done {
+			break
+		}
+		if more != nil {
+			select {
+			case <-more:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}
+	if st.log.Truncated() {
+		// The bound was exceeded and the buffered history dropped — no
+		// byte-identical replay is possible. In-band error, like every
+		// other mid-stream failure.
+		msg := "stream history truncated; request the synchronous endpoint for the complete body"
+		if st.job != "" {
+			msg = fmt.Sprintf("stream history truncated; fetch %s/result for the complete body", jobURL(st.job))
+		}
+		_ = json.NewEncoder(w).Encode(streamLine{Kind: "error", Shards: st.shards, Shard: -1, Error: msg})
+		flush()
+	}
+}
+
+// serveStream runs a direct stream's computation — the synchronous
+// endpoint's own compute closure, with the stream's sink on its
+// context — while serve follows the lines it records. A completed,
+// verified stream deposits its body in the response cache, so a later
+// synchronous request is a hit.
+func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, key string, st *lineStream, compute func(context.Context) (*cachedResponse, error)) {
+	ctx, cancel := s.streamContext(r)
+	defer cancel()
+	var res *cachedResponse
+	ok := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var err error
+		if res, err = compute(st.sinkContext(ctx)); err != nil {
+			st.fail(err.Error())
+			return
+		}
+		ok = st.finish(res.body)
+	}()
+	st.serve(w, r)
+	cancel() // a departed client stops the computation mid-shard
+	<-done
+	if ok {
+		s.cache.prime(key, res)
+	}
+}
+
+// requestPrefix is the request section of a synchronous body —
+// everything known before the computation runs.
+func requestPrefix(req any) (string, error) {
+	reqJSON, err := json.MarshalIndent(req, "  ", "  ")
+	return "{\n  \"request\": " + string(reqJSON) + ",\n", err
 }
 
 // sweepStreamPrefix is everything of the synchronous sweep body that
-// precedes variant 0 — known before any shard completes, so the start
-// line carries real content immediately.
+// precedes variant 0, so the start line carries real content
+// immediately.
 func sweepStreamPrefix(req sweepRequest) (string, error) {
-	reqJSON, err := marshalSection(req)
-	return "{\n  \"request\": " + reqJSON + ",\n  \"variants\": [\n", err
+	prefix, err := requestPrefix(req)
+	return prefix + "  \"variants\": [\n", err
 }
 
 // sweepVariantChunk is variant i's slice of the synchronous body: its
@@ -229,9 +326,22 @@ func sweepVariantChunk(axis core.VariantAxis, marked bool, p core.VariantPoint, 
 	return "    " + string(vJSON) + sep + "\n", nil
 }
 
-// sweepStreamSuffix closes the body (jsonResponse appends the trailing
-// newline to the synchronous form; the stream must reproduce it).
-const sweepStreamSuffix = "  ]\n}\n"
+// newSweepStream starts a NORMALIZED sweep request's stream, bounded by
+// its variant count.
+func newSweepStream(req sweepRequest) (*lineStream, error) {
+	prefix, err := sweepStreamPrefix(req)
+	if err != nil {
+		return nil, err
+	}
+	axis, err := core.ParseVariantAxis(req.Axis)
+	if err != nil {
+		return nil, err
+	}
+	n := len(req.Values)
+	st := newLineStream(prefix, n, jobStreamLogLines(n))
+	st.axis, st.marked = axis, req.Adaptive
+	return st, nil
+}
 
 func (s *Server) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 	directive, err := parseRouteDirective(r)
@@ -244,73 +354,20 @@ func (s *Server) handleStreamSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	exp, axis, status, err := normalizeSweep(&req)
+	key, compute, status, err := sweepComputation(&req)
 	if err != nil {
 		writeError(w, status, errCode(err, status), "%v", err)
 		return
 	}
-	if s.redirectAffinityMiss(w, directive, sweepCacheKey(req)) {
+	if s.redirectAffinityMiss(w, directive, key) {
 		return
 	}
-	n := len(req.Values)
-	prefix, err := sweepStreamPrefix(req)
+	st, err := newSweepStream(req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
-
-	ctx, cancel := s.streamContext(r)
-	defer cancel()
-	sw := newStreamWriter(w)
-	sw.queue(streamLine{Kind: "start", Shards: n, Shard: -1, Payload: prefix})
-
-	// chunkErr needs no lock: the engine serializes sink calls, and the
-	// run's return happens-after the last of them.
-	var chunkErr error
-	sink := engine.ShardSink(func(shard, total int, v any) {
-		if chunkErr != nil {
-			return // a lost chunk must not be followed by later shards
-		}
-		p := v.(core.VariantPoint)
-		chunk, err := sweepVariantChunk(axis, req.Adaptive, p, shard, total)
-		if err != nil {
-			chunkErr = err // surfaces after the run; rendering our own structs cannot fail
-			return
-		}
-		val := p.Value
-		sw.queue(streamLine{Kind: "shard", Shards: total, Shard: shard, Value: &val, Payload: chunk})
-	})
-	var points []core.VariantPoint
-	if req.Adaptive {
-		// The adaptive run streams through the same sink: estimated
-		// shards land near-instantly, simulated ones as they finish (the
-		// calibration's anchor runs are sink-stripped inside core).
-		points, err = adaptiveSweepRun(engine.WithSink(ctx, sink), exp, axis, req.Values, req.Threshold)
-	} else {
-		points, err = dispatchedSweepRun(engine.WithSink(ctx, sink), exp, axis, &req)
-	}
-	if err == nil {
-		err = chunkErr
-	}
-	if err != nil {
-		sw.fail(n, err)
-		return
-	}
-	sw.wait(streamLine{Kind: "summary", Shards: n, Shard: -1, Payload: sweepStreamSuffix})
-
-	// Verify the progressive encoding against the synchronous renderer
-	// before depositing it: the cache must only ever hold bytes the
-	// synchronous endpoint would serve.
-	if sync, err := renderSweep(req, axis, req.Adaptive, points); err == nil && bytes.Equal(sw.body.Bytes(), sync.body) {
-		s.cache.prime(sweepCacheKey(req), sync)
-	}
-}
-
-// experimentStreamPrefix is the request section of the synchronous
-// experiment body — everything known before the fan-out.
-func experimentStreamPrefix(req experimentRequest) (string, error) {
-	reqJSON, err := marshalSection(req)
-	return "{\n  \"request\": " + reqJSON + ",\n", err
+	s.serveStream(w, r, key, st, compute)
 }
 
 func (s *Server) handleStreamExperiment(w http.ResponseWriter, r *http.Request) {
@@ -319,45 +376,15 @@ func (s *Server) handleStreamExperiment(w http.ResponseWriter, r *http.Request) 
 		writeError(w, status, errCode(err, status), "%v", err)
 		return
 	}
-	prefix, err := experimentStreamPrefix(req)
+	prefix, err := requestPrefix(req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
-
-	ctx, cancel := s.streamContext(r)
-	defer cancel()
-	sw := newStreamWriter(w)
-	// Shard count is discovered at fan-out (it depends on fleet size
-	// and coverage fraction); the shard lines carry it.
-	sw.queue(streamLine{Kind: "start", Shards: 0, Shard: -1, Payload: prefix})
-
-	shards := 0
-	sink := engine.ShardSink(func(shard, total int, v any) {
-		shards = total
-		ms := v.([]core.Measurement)
-		// The summary section aggregates every measurement, so no body
-		// chunk is renderable yet: shard lines are ordered progress
-		// beacons, and the terminal line carries the body's remainder.
-		sw.queue(streamLine{Kind: "shard", Shards: total, Shard: shard, GPUs: len(ms)})
-	})
-	res, err := streamExperimentRun(engine.WithSink(ctx, sink), exp)
-	if err != nil {
-		sw.fail(shards, err)
-		return
-	}
-	full, err := jsonResponse(renderExperiment(req, res))
-	if err != nil {
-		sw.fail(shards, err)
-		return
-	}
-	if !bytes.HasPrefix(full.body, []byte(prefix)) {
-		// Defensive: the prefix is derived from the same struct the
-		// renderer marshals, so divergence means a schema bug — tell the
-		// client rather than emit a corrupt reassembly.
-		sw.fail(shards, fmt.Errorf("internal: streamed prefix diverged from the synchronous body"))
-		return
-	}
-	sw.wait(streamLine{Kind: "summary", Shards: shards, Shard: -1, Payload: string(full.body[len(prefix):])})
-	s.cache.prime(experimentCacheKey(req), full)
+	// The shard count is discovered at fan-out (it depends on fleet size
+	// and coverage fraction); the shard lines carry it. Every
+	// measurement job holds at least one GPU, so the fleet's GPU count
+	// bounds the line log.
+	st := newLineStream(prefix, 0, jobStreamLogLines(exp.Cluster.NumGPUs()))
+	s.serveStream(w, r, experimentCacheKey(req), st, experimentComputation(req, exp))
 }

@@ -15,6 +15,7 @@ import (
 
 	"gpuvar/internal/core"
 	"gpuvar/internal/engine"
+	"gpuvar/internal/jobs"
 	"gpuvar/internal/testutil"
 )
 
@@ -454,5 +455,61 @@ func TestJobListDeterministicOrder(t *testing.T) {
 				t.Fatalf("round %d: jobs[%d] = %s, want %s (creation order)", round, i, listing.Jobs[i].ID, id)
 			}
 		}
+	}
+}
+
+// TestStreamWholeBodyDigests pins every NDJSON byte of each stream
+// route — framing, shard metadata, payload chunking, and the summary's
+// length and checksum — not just the reassembled payload. Each request
+// runs on a fresh server, so job streams carry their own shard lines
+// rather than a coalesced or cached whole-body form.
+func TestStreamWholeBodyDigests(t *testing.T) {
+	stream := func(target string) func(t *testing.T, srv *Server) []byte {
+		return func(t *testing.T, srv *Server) []byte {
+			rr := doReq(t, srv, "GET", target, "")
+			if rr.Code != 200 {
+				t.Fatalf("GET %s: %d: %s", target, rr.Code, rr.Body.String())
+			}
+			return rr.Body.Bytes()
+		}
+	}
+	job := func(body string) func(t *testing.T, srv *Server) []byte {
+		return func(t *testing.T, srv *Server) []byte {
+			view := submitJob(t, srv, body)
+			if final := pollJob(t, srv, view.URL); final.State != jobs.StateDone {
+				t.Fatalf("job ended %s (%s), want done", final.State, final.Error)
+			}
+			return stream(view.StreamURL)(t, srv)
+		}
+	}
+	cases := []struct {
+		name  string
+		fetch func(t *testing.T, srv *Server) []byte
+		want  string
+	}{
+		{"sweep", stream("/v1/stream/sweep?cluster=CloudLab&iterations=2&axis=powercap&values=300,250,200"),
+			"245c98242be34944944c7b134ee9e99589f4d40f31252d0e7b269cc315c7bba1"},
+		{"sweep/adaptive", stream("/v1/stream/sweep?cluster=CloudLab&iterations=2&axis=powercap&values=100,150,200,250,300&adaptive=true&threshold=0.05"),
+			"4255bac8912b4220c60005b636df39aeab1f1295f60e72c0537f191f8151ad7b"},
+		{"experiment/cloudlab", stream("/v1/stream/experiments/sgemm?cluster=CloudLab&iterations=2"),
+			"73e473930cfd02b477972c2f09378419fa10ccc4b6be8439d865e74bbff4929d"},
+		{"experiment/longhorn", stream("/v1/stream/experiments/sgemm?cluster=Longhorn&iterations=2&fraction=0.2"),
+			"16aa905d90178b5db765761c5b94a0efb815a0076617898bd87082593ce4d68c"},
+		{"job/sweep", job(`{"kind":"sweep","sweep":{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[300,250]}}`),
+			"04f099abe0e19995c65b4182d8319af7de423287bcb976bb0fe39bbc5acd0f12"},
+		{"job/estimate", job(`{"kind":"estimate","estimate":{"cluster":"CloudLab","iterations":2,"axis":"powercap","values":[100,200,300]}}`),
+			"d0fce972c75e214219d24f64c1cbf5de5b1e961d540b10d170aa705317fbbd73"},
+		{"job/campaign", job(`{"kind":"campaign","campaign":` + campaignBody + `}`),
+			"e9e95bcce09689c719b9ec8addf4f75401cd3ebad8b5793cb04e51a7e148582f"},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			body := tt.fetch(t, testServer())
+			decodeStream(t, body)
+			sum := sha256.Sum256(body)
+			if got := hex.EncodeToString(sum[:]); got != tt.want {
+				t.Errorf("NDJSON body sha256 = %s, want %s\nbody:\n%.2000s", got, tt.want, body)
+			}
+		})
 	}
 }
