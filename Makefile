@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: help build fmt vet staticcheck test cover cover-summary cover-floor fuzz fuzz-smoke verify race bench bench-smoke bench-compare smoke figures serve loadgen
+.PHONY: help build fmt vet staticcheck test perfbench cover cover-summary cover-floor fuzz fuzz-smoke verify race bench bench-smoke bench-compare smoke figures serve loadgen
 
 # help lists the targets. Serving quick-reference:
 #   make serve    starts cmd/gpuvard on :8080 — the experiment service.
@@ -40,9 +40,9 @@ GO ?= go
 #     Sweeps take a variant axis: {"axis":"powercap|seed|ambient|
 #     fraction","values":[...]} (axis defaults to powercap).
 #     Replicas federate: gpuvard -peers http://a:8080,http://b:8080
-#     dispatches sweep shards across the fleet (-route-policy affinity
-#     rendezvous-hashes shards onto warm fleet caches; roundrobin and
-#     leastloaded too), with health-probe eject/readmit, retry onto
+#     dispatches sweep shards across the fleet (each shard is
+#     rendezvous-hashed onto the replica whose fleet cache is warm),
+#     with health-probe eject/readmit, retry onto
 #     survivors, and byte-identical responses from any replica. GET /v1/
 #     is the route discovery document; GET /v1/replicas shows membership
 #     and dispatch counters.
@@ -60,8 +60,8 @@ GO ?= go
 #     still byte-identical with zero 5xx), a crash stage (kill -9
 #     mid-jobs, reboot, job journal replays finished results), and a
 #     distributed stage (3 replicas wired with -peers: byte-identity
-#     from any replica, affinity beating round-robin on warm-fleet
-#     placement, kill-one-survive with zero 5xx).
+#     from any replica, affinity placing all 8 re-swept shards on warm
+#     fleet caches, kill-one-survive with zero 5xx).
 #   make fuzz     full native-fuzz sessions (FUZZTIME each, default 60s)
 #     over the service's request normalization — FuzzSweepRequest (body
 #     decode + variant-axis parsing/validation) and FuzzJobEnvelope
@@ -70,7 +70,7 @@ GO ?= go
 #     re-encode round trip).
 # CI gates a PR must clear (.github/workflows/ci.yml):
 #   make verify   build + fmt + vet + staticcheck + test + cover-floor
-#                 + fuzz-smoke + bench-smoke + bench-compare
+#                 + fuzz-smoke + perfbench + bench-smoke + bench-compare
 #   make race     go test -race -short ./...
 #   make smoke    end-to-end serving smoke (see above)
 #   make cover    test suite with a coverage summary
@@ -113,6 +113,13 @@ TESTFLAGS ?=
 test:
 	$(GO) test $(TESTFLAGS) ./...
 
+# perfbench vets and tests the benchmark harness. It is a separate
+# module that imports service, dispatch and estimate, so the root
+# `go build ./...` never compiles it; without this stage a removed
+# field could break the benchmark unseen.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 # cover runs the test suite with coverage and prints the total coverage
 # summary (profile left in /tmp/gpuvar_cover.out for
 # `go tool cover -html`).
@@ -154,9 +161,10 @@ fuzz-smoke:
 	$(MAKE) --no-print-directory fuzz FUZZTIME=5s
 
 # verify is the tier-1 gate plus the cheap guards: gofmt, vet,
-# staticcheck, tests with the coverage floor, a fuzz smoke, a
-# one-iteration benchmark smoke run, and the benchmark-regression gate
-# against the committed trajectory (BENCH_10.json). The stage sequence
+# staticcheck, tests with the coverage floor, a fuzz smoke, the
+# perfbench module's vet and tests, a one-iteration benchmark smoke
+# run, and the benchmark-regression gate against the committed
+# trajectory (BENCH_10.json). The stage sequence
 # lives in scripts/verify.sh, which reports which stage failed.
 verify:
 	scripts/verify.sh
@@ -229,7 +237,7 @@ loadgen:
 # zero 5xx, degraded health status), a crash pass (kill -9 mid-jobs,
 # reboot over the same -data-dir, journal replay asserted), and a
 # distributed pass (3 replicas with -peers: fleet-wide byte-identity,
-# the affinity-vs-roundrobin warm-placement comparison, and a replica
-# killed mid-run with zero 5xx).
+# affinity's 8/8 warm placements, and a replica killed mid-run with
+# zero 5xx).
 smoke:
 	scripts/smoke.sh

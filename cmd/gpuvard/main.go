@@ -22,8 +22,7 @@
 // microseconds from a calibrated closed form instead of simulating —
 // up to 1024 values per request, every point carrying an error bound —
 // and "adaptive" sweeps pre-screen wide axes, simulating only the
-// values the estimator cannot vouch for (-estimate-anchors tunes how
-// many full-simulation anchors each calibration spends):
+// values the estimator cannot vouch for:
 //
 //	curl -X POST -d '{"cluster":"CloudLab","axis":"powercap","values":[300,250,200,150,100]}' localhost:8080/v1/estimate
 //	curl 'localhost:8080/v1/estimate?cluster=CloudLab&axis=ambient&values=-8,-4,0,4,8'
@@ -72,7 +71,8 @@
 //
 // Resilience (see the doc.go "Resilience" section for the full story):
 //
-//	-retries 3 -retry-backoff 1ms   per-shard retry of transient failures
+//	-retries 3                      per-shard retry of transient failures
+//	                                (1ms base backoff, jittered, doubling)
 //	-data-dir /var/lib/gpuvar       crash-safe async jobs: lifecycle +
 //	                                results journaled and replayed on boot
 //	-journal-sync terminal          journal fsync policy (terminal,
@@ -87,12 +87,10 @@
 // Distributed serving: hand every replica the same fleet-wide -peers
 // list (each drops its own -self-url) and sweep shards fan out across
 // the fleet over POST /v1/internal/shards, byte-identical to local
-// serving (see the doc.go "Distribution" section):
+// serving. Each shard is rendezvous-hashed onto the replica whose fleet
+// cache is warm (see the doc.go "Distribution" section):
 //
 //	gpuvard -addr :8081 -self-url http://h1:8081 -peers http://h1:8081,http://h2:8082
-//	-route-policy affinity          rendezvous-hash each shard onto the
-//	                                replica whose fleet cache is warm
-//	                                (roundrobin and leastloaded too)
 //	-peer-probe 2s                  health-probe cadence: failing peers
 //	                                are ejected, recovered ones readmitted
 //	curl localhost:8081/v1/          # route discovery document
@@ -127,7 +125,6 @@ func main() {
 		iters           = flag.Int("iterations", 0, "default SGEMM repetitions (0 = quick setting)")
 		summit          = flag.Float64("summit-fraction", 0, "default Summit coverage fraction (0 = quick setting)")
 		respLRU         = flag.Int("response-cache", 256, "response LRU size (entries)")
-		sessLRU         = flag.Int("session-cache", 4, "figure-session LRU size (distinct configs)")
 		fleetLRU        = flag.Int("fleet-cache", cluster.DefaultFleetCacheCap, "fleet LRU size (distinct (spec, seed) instantiations)")
 		timeout         = flag.Duration("timeout", 30*time.Second, "per-request computation deadline (negative disables)")
 		jobTimeout      = flag.Duration("job-timeout", 10*time.Minute, "per-async-job (and per-stream) computation deadline (negative disables)")
@@ -136,19 +133,15 @@ func main() {
 		maxQueuedClient = flag.Int("max-queued-per-client", 8, "one client's queued batch jobs before its submissions shed with 429 (negative disables)")
 		jobTTL          = flag.Duration("job-ttl", 10*time.Minute, "finished-job retention before results expire")
 		budget          = flag.Int("budget", 0, "worker-token budget for elastic engine pools (0 = GOMAXPROCS)")
-		estAnchors      = flag.Int("estimate-anchors", 0, "full-simulation anchors per estimator calibration, 2..5 (0 = default 3)")
 
-		retries      = flag.Int("retries", 3, "total attempts per engine shard for transient failures (<=1 disables retry)")
-		retryBackoff = flag.Duration("retry-backoff", time.Millisecond, "base backoff before a shard retry (jittered, doubling, capped at 100x)")
-		dataDir      = flag.String("data-dir", "", "directory for the crash-safe job journal (empty = jobs are in-memory only)")
-		journalSync  = flag.String("journal-sync", "terminal", "job-journal fsync policy: terminal, always, or never")
-		faultSpec    = flag.String("faults", "", "fault-injection spec, e.g. 'engine.shard.pre=error:0.3' (also $GPUVARD_FAULTS)")
-		faultSeed    = flag.Uint64("fault-seed", 1, "seed for the fault registry's per-site RNG streams")
+		retries     = flag.Int("retries", 3, "total attempts per engine shard for transient failures (<=1 disables retry)")
+		dataDir     = flag.String("data-dir", "", "directory for the crash-safe job journal (empty = jobs are in-memory only)")
+		journalSync = flag.String("journal-sync", "terminal", "job-journal fsync policy: terminal, always, or never")
+		faultSpec   = flag.String("faults", "", "fault-injection spec, e.g. 'engine.shard.pre=error:0.3' (also $GPUVARD_FAULTS)")
 
-		peers       = flag.String("peers", "", "comma-separated base URLs of peer replicas to dispatch sweep shards to")
-		routePolicy = flag.String("route-policy", "", "shard routing policy: affinity (default), roundrobin, or leastloaded")
-		selfURL     = flag.String("self-url", "", "this replica's own base URL, so it can drop itself from -peers lists shared fleet-wide")
-		peerProbe   = flag.Duration("peer-probe", 2*time.Second, "peer health-probe interval (negative disables probing; peers then stay unused)")
+		peers     = flag.String("peers", "", "comma-separated base URLs of peer replicas to dispatch sweep shards to")
+		selfURL   = flag.String("self-url", "", "this replica's own base URL, so it can drop itself from -peers lists shared fleet-wide")
+		peerProbe = flag.Duration("peer-probe", 2*time.Second, "peer health-probe interval (negative disables probing; peers then stay unused)")
 
 		recordTrace = flag.String("record-trace", "", "record replayable traffic to this trace file (see internal/traffic; loadgen -replay plays it back)")
 	)
@@ -169,13 +162,12 @@ func main() {
 
 	cluster.DefaultFleetCache.SetCap(*fleetLRU)
 	engine.SetBudgetCapacity(*budget)
-	engine.SetRetryPolicy(engine.RetryPolicy{MaxAttempts: *retries, BaseBackoff: *retryBackoff})
+	engine.SetRetryPolicy(engine.RetryPolicy{MaxAttempts: *retries, BaseBackoff: time.Millisecond})
 
 	spec := *faultSpec
 	if spec == "" {
 		spec = os.Getenv("GPUVARD_FAULTS")
 	}
-	faults.SetSeed(*faultSeed)
 	if err := faults.Arm(spec); err != nil {
 		fmt.Fprintln(os.Stderr, "gpuvard:", err)
 		os.Exit(2)
@@ -196,7 +188,6 @@ func main() {
 			SummitFraction: *summit,
 		},
 		ResponseCacheSize:      *respLRU,
-		SessionCacheSize:       *sessLRU,
 		RequestTimeout:         *timeout,
 		JobTimeout:             *jobTimeout,
 		MaxRunningJobs:         *maxJobs,
@@ -206,9 +197,7 @@ func main() {
 		JobTTL:                 *jobTTL,
 		DataDir:                *dataDir,
 		JournalSync:            sync,
-		EstimateAnchors:        *estAnchors,
 		Peers:                  splitPeers(*peers),
-		RoutePolicy:            *routePolicy,
 		SelfURL:                *selfURL,
 		PeerProbeInterval:      *peerProbe,
 		RecordTrace:            *recordTrace,

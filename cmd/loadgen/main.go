@@ -57,11 +57,12 @@
 // run's observations (how a generated trace becomes a fixture).
 //
 // With -generate, loadgen emits a seeded synthetic workload trace
-// instead of running at all: a multi-period diurnal rate curve, bursty
-// on/off client cohorts with heavy-tailed (Pareto) burst sizes, and a
-// weighted heavy-tailed request mix over the five endpoint kinds
-// (figures, sweep, estimate, stream, jobs). The same -gen-seed always
-// produces a byte-identical file.
+// instead of running at all: traffic.GenSpec's default shape (a
+// multi-period diurnal rate curve, bursty on/off client cohorts with
+// heavy-tailed Pareto burst sizes, and a weighted request mix over the
+// five endpoint kinds: figures, sweep, estimate, stream, jobs) at the
+// -gen-rate and -gen-duration given. The same -gen-seed always produces
+// a byte-identical file.
 //
 // Usage:
 //
@@ -98,7 +99,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -131,21 +131,11 @@ func main() {
 		genSeed     = flag.Uint64("gen-seed", 1, "generator seed (same seed = byte-identical trace)")
 		genDuration = flag.Duration("gen-duration", time.Minute, "generated workload's virtual duration")
 		genRate     = flag.Float64("gen-rate", 40, "mean request rate (req/s) at diurnal level 1.0")
-		genPeriods  = flag.String("gen-periods", "", "diurnal curve terms as period:amplitude[:phase], comma-separated (e.g. 30s:0.5,7.5s:0.25:1.0; empty = defaults)")
-		genCohorts  = flag.Int("gen-cohorts", 4, "independent on/off client cohorts")
-		genClients  = flag.Int("gen-clients", 4, "client identities per cohort")
-		genAlpha    = flag.Float64("gen-burst-alpha", 1.3, "Pareto tail index for burst sizes (closer to 1 = heavier tail)")
-		genBurstMax = flag.Int("gen-burst-max", 64, "cap on a single burst's request count")
-		genIntraGap = flag.Duration("gen-intra-gap", 4*time.Millisecond, "mean gap between consecutive requests inside one burst")
-		genMix      = flag.String("gen-mix", "", "request-kind weights as kind=weight, comma-separated (e.g. figures=8,sweep=4,estimate=2,stream=1.5,jobs=0.5; empty = defaults)")
-		genCluster  = flag.String("gen-cluster", "", "cluster the generated request templates target (default CloudLab)")
-		genNote     = flag.String("gen-note", "", "free-form note stored in the generated trace's header")
 	)
 	flag.Parse()
 
 	if *genOut != "" {
-		os.Exit(runGenerate(*genOut, *genSeed, *genDuration, *genRate, *genPeriods,
-			*genCohorts, *genClients, *genAlpha, *genBurstMax, *genIntraGap, *genMix, *genCluster, *genNote))
+		os.Exit(runGenerate(*genOut, traffic.GenSpec{Seed: *genSeed, Duration: *genDuration, Rate: *genRate}))
 	}
 
 	var bases []string
@@ -168,30 +158,7 @@ func main() {
 }
 
 // runGenerate emits a seeded workload trace (no server involved).
-func runGenerate(out string, seed uint64, dur time.Duration, rate float64, periods string,
-	cohorts, clientsPer int, alpha float64, burstMax int, intraGap time.Duration,
-	mix, cluster, note string) int {
-	spec := traffic.GenSpec{
-		Seed:             seed,
-		Duration:         dur,
-		Rate:             rate,
-		Cohorts:          cohorts,
-		ClientsPerCohort: clientsPer,
-		BurstAlpha:       alpha,
-		BurstMax:         burstMax,
-		IntraGap:         intraGap,
-		Cluster:          cluster,
-		Note:             note,
-	}
-	var err error
-	if spec.Periods, err = parseGenPeriods(periods); err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen: -gen-periods:", err)
-		return 1
-	}
-	if spec.Mix, err = parseGenMix(mix); err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen: -gen-mix:", err)
-		return 1
-	}
+func runGenerate(out string, spec traffic.GenSpec) int {
 	tr, err := traffic.Generate(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
@@ -201,62 +168,12 @@ func runGenerate(out string, seed uint64, dur time.Duration, rate float64, perio
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		return 1
 	}
-	fmt.Printf("generated %s: %d records, seed %d, %s\n", out, len(tr.Records), seed, tr.Header.Note)
+	fmt.Printf("generated %s: %d records, seed %d, %s\n", out, len(tr.Records), spec.Seed, tr.Header.Note)
 	for kind, n := range tr.Kinds() {
 		fmt.Printf("  %-10s %d\n", kind, n)
 	}
 	fmt.Println("replay it (and fill the oracle) with: loadgen -replay", out, "-record-out", out)
 	return 0
-}
-
-// parseGenPeriods parses "30s:0.5,7.5s:0.25:1.0" into diurnal terms.
-func parseGenPeriods(s string) ([]traffic.Period, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []traffic.Period
-	for _, term := range strings.Split(s, ",") {
-		parts := strings.Split(term, ":")
-		if len(parts) < 2 || len(parts) > 3 {
-			return nil, fmt.Errorf("term %q: want period:amplitude[:phase]", term)
-		}
-		p, err := time.ParseDuration(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("term %q: %v", term, err)
-		}
-		amp, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("term %q: amplitude: %v", term, err)
-		}
-		var phase float64
-		if len(parts) == 3 {
-			if phase, err = strconv.ParseFloat(parts[2], 64); err != nil {
-				return nil, fmt.Errorf("term %q: phase: %v", term, err)
-			}
-		}
-		out = append(out, traffic.Period{Period: p, Amplitude: amp, Phase: phase})
-	}
-	return out, nil
-}
-
-// parseGenMix parses "figures=8,sweep=4" into mix entries.
-func parseGenMix(s string) ([]traffic.MixEntry, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []traffic.MixEntry
-	for _, term := range strings.Split(s, ",") {
-		kind, val, ok := strings.Cut(term, "=")
-		if !ok {
-			return nil, fmt.Errorf("term %q: want kind=weight", term)
-		}
-		w, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return nil, fmt.Errorf("term %q: weight: %v", term, err)
-		}
-		out = append(out, traffic.MixEntry{Kind: kind, Weight: w})
-	}
-	return out, nil
 }
 
 // runReplay plays a trace back and reports per-phase latency, stream

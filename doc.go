@@ -175,8 +175,8 @@
 // calibration maps that nominal curve onto the fleet the simulator
 // would actually build. Calibration fits two numbers — a fleet scale
 // factor and a run-to-run noise level — against a handful of
-// full-simulation anchor runs (extremes plus interior points of the
-// requested axis, -estimate-anchors tunes how many), memoized
+// full-simulation anchor runs (three: the extremes and the midpoint of
+// the requested axis), memoized
 // process-wide by the exact request fingerprint, so it is a pure
 // function of the request and never of run history: the same request
 // estimates identically forever.
@@ -387,8 +387,8 @@
 //
 //	gpuvard -faults 'engine.shard.pre=error:0.3,cache.fleet.get=slow:0.1:5ms'
 //
-// Injections draw from per-site RNG streams seeded by -fault-seed, so a
-// chaos run is reproducible. A disarmed registry costs one atomic load
+// Injections draw from per-site RNG streams derived from a fixed
+// registry seed and the site name, so a chaos run is reproducible. A disarmed registry costs one atomic load
 // per site check. Armed sites and their check/injection counters appear
 // on /v1/healthz and /v1/stats.
 //
@@ -448,16 +448,11 @@
 // path: zero overhead, byte-identical to plain Map), HTTPBackend
 // POSTs them to a peer's internal /v1/internal/shards route, where
 // the same shard function runs against the peer's own caches. The
-// Dispatcher in front holds the replica set and picks a backend per
-// shard group under a routing policy:
-//
-//	roundrobin    rotate over healthy members
-//	leastloaded   lowest worker-budget occupancy from the last probe
-//	affinity      rendezvous-hash the shard group's fleet-cache
-//	              fingerprint (spec, seed, axis setting) over members
-//
-// affinity (the gpuvard default) is the placement policy that makes a
-// fleet faster than its parts: repeat variants of the same
+// Dispatcher in front holds the replica set and routes by affinity: it
+// rendezvous-hashes each shard's fleet-cache fingerprint (spec, seed,
+// axis setting) over the healthy members and picks the owner's
+// backend. Affinity is the placement that makes a fleet faster than
+// its parts: repeat variants of the same
 // (cluster, seed) land on the replica whose fleet cache is already
 // warm, and rendezvous hashing keeps placements stable under
 // membership churn — a leaving peer remaps only its own keys. Wire a
@@ -470,8 +465,9 @@
 // Responses are byte-identical from any replica and to single-process
 // serving — golden tests pin the dispatched sweep, stream, and job
 // bodies against the local ones, and the smoke's 3-replica stage
-// re-proves it end to end while asserting affinity beats roundrobin
-// on warm-shard placement and a kill -9'd replica costs zero 5xx.
+// re-proves it end to end while asserting affinity places all 8
+// re-swept shards on warm fleet caches and a kill -9'd replica costs
+// zero 5xx.
 // Clients can steer routing per request (X-GPUVar-Route: remote |
 // affinity-strict; the strict form answers 421 wrong_replica naming
 // the owner in X-GPUVar-Owner), GET /v1/replicas reports membership
@@ -502,11 +498,12 @@
 // sha256) pair: equal digests across runs are the replay-determinism
 // contract.
 //
-// loadgen -generate emits seeded synthetic traces in the same format:
-// a multi-period diurnal rate curve (sum of sinusoids over -gen-periods)
-// modulates Poisson arrivals; client cohorts burst on/off with
-// Pareto-tailed burst sizes (-gen-burst-alpha); request kinds draw from
-// a weighted heavy-tailed mix over figures, sweeps, estimates, streams,
+// loadgen -generate emits seeded synthetic traces in the same format,
+// at the mean rate and length -gen-rate and -gen-duration give, in
+// traffic.GenSpec's default shape: a multi-period diurnal rate curve (a
+// sum of sinusoids) modulates Poisson arrivals; client cohorts burst
+// on/off with Pareto-tailed burst sizes; request kinds draw from a
+// weighted heavy-tailed mix over figures, sweeps, estimates, streams,
 // and async jobs, with Zipf-skewed parameter pools so some variants are
 // hot and most are cold. The same -gen-seed reproduces a trace
 // byte-for-byte, and each record is phase-tagged (peak | offpeak) so
@@ -525,9 +522,10 @@
 // pass, tests with a coverage-floor gate that fails if total coverage
 // drops below the committed baseline, a short native-fuzz smoke of the
 // request-normalization and trace-decode targets (FuzzSweepRequest,
-// FuzzJobEnvelope, FuzzTraceDecode; the
-// full sessions run via make fuzz), a benchmark smoke run, and the
-// cmd/benchjson -compare regression gate, which re-measures the banked
+// FuzzJobEnvelope, FuzzTraceDecode; the full sessions run via make
+// fuzz), vet and tests of the separate perfbench module (which the root
+// build never compiles), a benchmark smoke run, and the cmd/benchjson
+// -compare regression gate, which re-measures the banked
 // perf wins plus the sweep, async-job, streaming, and classed-engine
 // serving paths — plus the retry-overhead guard (a fault-free run with
 // retries armed must stay free), the replayable job-stream attach, the

@@ -7,15 +7,10 @@
 // (LocalBackend, today's goroutine pool) or on a peer replica over
 // an internal HTTP route (HTTPBackend → POST /v1/internal/shards).
 //
-// Routing is a pluggable Policy:
-//
-//	roundrobin   rotate across healthy members (self included)
-//	leastloaded  lowest worker-budget occupancy, fed by each peer's
-//	             /v1/healthz budget counters (ties break toward the
-//	             member listed first, so placement is deterministic)
-//	affinity     rendezvous-hash the shard's fleet-cache fingerprint
-//	             across healthy members, so repeat variants land on
-//	             the replica whose fleet cache is already warm
+// Routing is affinity: each shard's fleet-cache fingerprint is
+// rendezvous-hashed across the healthy members (self included), so
+// repeat variants land on the replica whose fleet cache is already
+// warm, and every replica agrees on the owner without coordination.
 //
 // Membership is static (gpuvard -peers) with health-probe-driven eject
 // and readmit: a prober polls each peer's /v1/healthz; a failed probe
@@ -52,7 +47,7 @@ import (
 // replica. Exec reports the completed point plus whether the executing
 // replica's fleet cache already held the shard's fleet (the warmth
 // signal behind the gpuvar_dispatch_warm_shards_total metrics that let
-// the affinity policy prove its value).
+// affinity routing prove its value).
 type Backend interface {
 	Exec(ctx context.Context, job Job, shard int) (core.VariantPoint, bool, error)
 }
@@ -84,8 +79,6 @@ type Options struct {
 	Self string
 	// Peers are the sibling replicas' base URLs (no trailing slash).
 	Peers []string
-	// Policy selects the routing policy (default PolicyAffinity).
-	Policy Policy
 	// ProbeInterval is the health-probe cadence (default 1s; negative
 	// disables the prober — tests drive ProbeNow directly).
 	ProbeInterval time.Duration
@@ -104,7 +97,6 @@ type member struct {
 	backend Backend
 
 	healthy atomic.Bool
-	load    atomic.Int64 // budget tokens in use at last probe (peers only)
 
 	probes        atomic.Uint64
 	probeFailures atomic.Uint64
@@ -119,7 +111,6 @@ type member struct {
 type Dispatcher struct {
 	opts    Options
 	members []*member
-	rr      atomic.Uint64
 
 	shardsLocal    atomic.Uint64
 	shardsRemote   atomic.Uint64
@@ -136,13 +127,7 @@ type Dispatcher struct {
 // New assembles a dispatcher. Peers start unhealthy until the first
 // successful probe — boot traffic serves locally rather than timing
 // out against peers that are still starting.
-func New(opts Options) (*Dispatcher, error) {
-	if opts.Policy == "" {
-		opts.Policy = PolicyAffinity
-	}
-	if _, err := ParsePolicy(string(opts.Policy)); err != nil {
-		return nil, err
-	}
+func New(opts Options) *Dispatcher {
 	if opts.ProbeInterval == 0 {
 		opts.ProbeInterval = time.Second
 	}
@@ -170,7 +155,7 @@ func New(opts Options) (*Dispatcher, error) {
 			backend: NewHTTPBackend(u, opts.Client),
 		})
 	}
-	return d, nil
+	return d
 }
 
 // Start launches the background health prober (no-op when the probe
@@ -201,11 +186,8 @@ func (d *Dispatcher) Close() {
 	d.wg.Wait()
 }
 
-// Policy returns the active routing policy.
-func (d *Dispatcher) Policy() Policy { return d.opts.Policy }
-
 // Sweep runs the job as one engine job graph, one shard per value,
-// each shard executed by the backend the routing policy picks. It is a
+// each shard executed by the backend of its key's rendezvous owner. It is a
 // drop-in for core.VariantSweepCtx: same ordering, same sink/progress
 // semantics, byte-identical points.
 func (d *Dispatcher) Sweep(ctx context.Context, job Job) ([]core.VariantPoint, error) {
@@ -259,92 +241,47 @@ func (d *Dispatcher) Sweep(ctx context.Context, job Job) ([]core.VariantPoint, e
 	})
 }
 
-// pick selects the member for a shard under the routing policy.
-// remoteOnly restricts candidates to healthy peers and returns nil
+// pick selects the member for a shard: the rendezvous owner of its
+// key. remoteOnly restricts candidates to healthy peers and returns nil
 // when there are none; otherwise the local member is always a
 // candidate, so pick never fails — all peers down degrades to local
 // execution (counted as a fallback).
 func (d *Dispatcher) pick(key string, remoteOnly bool) *member {
-	cands := make([]*member, 0, len(d.members))
-	for i, m := range d.members {
-		if i == 0 {
-			if !remoteOnly {
-				cands = append(cands, m)
-			}
-			continue
-		}
-		if m.healthy.Load() {
-			cands = append(cands, m)
-		}
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	if !remoteOnly && len(d.members) > 1 && len(cands) == 1 {
+	m, n := d.owner(key, remoteOnly)
+	if !remoteOnly && n == 1 && len(d.members) > 1 {
 		d.localFallbacks.Add(1) // peers configured, all ejected
-		return cands[0]
 	}
-	switch d.opts.Policy {
-	case PolicyRoundRobin:
-		return cands[int((d.rr.Add(1)-1)%uint64(len(cands)))]
-	case PolicyLeastLoaded:
-		best := cands[0]
-		bestLoad := d.memberLoad(best)
-		for _, m := range cands[1:] {
-			if l := d.memberLoad(m); l < bestLoad { // ties keep the earlier member
-				best, bestLoad = m, l
-			}
-		}
-		return best
-	default: // PolicyAffinity
-		names := make([]string, len(cands))
-		for i, m := range cands {
-			names[i] = m.name
-		}
-		winner := RendezvousOwner(key, names)
-		for _, m := range cands {
-			if m.name == winner {
-				return m
-			}
-		}
-		return cands[0] // unreachable: winner comes from names
-	}
+	return m
 }
 
-// memberLoad is the least-loaded policy's ranking: the local member
-// reads the live engine budget, peers report their last-probed
-// occupancy.
-func (d *Dispatcher) memberLoad(m *member) int64 {
-	if m.url == "" {
-		b := engine.Snapshot().Budget
-		return int64(b.InUseInteractive + b.InUseBatch)
-	}
-	return m.load.Load()
-}
-
-// Owner reports where the affinity policy would place key across the
-// currently healthy membership: the owning replica's URL and whether
-// that is this replica. Non-affinity policies always own locally. The
-// service's strict-affinity check (421 wrong_replica) is built on it.
-func (d *Dispatcher) Owner(key string) (url string, self bool) {
-	if d.opts.Policy != PolicyAffinity {
-		return "", true
-	}
-	m := d.pickOwner(key)
-	return m.url, m.url == ""
-}
-
-// pickOwner is pick without counters or remote-only, for Owner.
-func (d *Dispatcher) pickOwner(key string) *member {
-	names := []string{d.members[0].name}
-	byName := map[string]*member{d.members[0].name: d.members[0]}
-	for _, m := range d.members[1:] {
-		if m.healthy.Load() {
+// owner returns key's rendezvous owner among the routing candidates —
+// every healthy peer, plus the local member unless remoteOnly — and
+// the number of candidates. The owner is nil only when there are none.
+func (d *Dispatcher) owner(key string, remoteOnly bool) (*member, int) {
+	cands := make([]*member, 0, len(d.members))
+	names := make([]string, 0, len(d.members))
+	for i, m := range d.members {
+		if (i == 0 && !remoteOnly) || (i > 0 && m.healthy.Load()) {
+			cands = append(cands, m)
 			names = append(names, m.name)
-			byName[m.name] = m
 		}
 	}
-	return byName[RendezvousOwner(key, names)]
+	winner := RendezvousOwner(key, names)
+	for _, m := range cands {
+		if m.name == winner {
+			return m, len(cands)
+		}
+	}
+	return nil, 0
+}
+
+// Owner reports where key is placed across the currently healthy
+// membership: the owning replica's URL and whether that is this
+// replica. The service's strict-affinity check (421 wrong_replica) is
+// built on it.
+func (d *Dispatcher) Owner(key string) (url string, self bool) {
+	m, _ := d.owner(key, false)
+	return m.url, m.url == ""
 }
 
 // suspect passively ejects a peer after a failed shard execution; the
@@ -398,11 +335,8 @@ func RemoteOnly(ctx context.Context) bool {
 
 // PeerStats is one member's routing-facing state.
 type PeerStats struct {
-	URL     string `json:"url"`
-	Healthy bool   `json:"healthy"`
-	// Load is the peer's worker-budget occupancy at its last successful
-	// probe (what the leastloaded policy ranks on).
-	Load          int64  `json:"load"`
+	URL           string `json:"url"`
+	Healthy       bool   `json:"healthy"`
 	Probes        uint64 `json:"probes"`
 	ProbeFailures uint64 `json:"probe_failures"`
 	Dispatched    uint64 `json:"dispatched"`
@@ -414,8 +348,7 @@ type PeerStats struct {
 // Stats is a point-in-time snapshot of the dispatch counters, exported
 // on /v1/stats, /v1/replicas, and as gpuvar_dispatch_* metrics.
 type Stats struct {
-	Policy string `json:"policy"`
-	Self   string `json:"self,omitempty"`
+	Self string `json:"self,omitempty"`
 	// ShardsLocal/ShardsRemote count completed shard executions by
 	// where they ran; RemoteErrors counts failed remote attempts (each
 	// also ejects its peer); LocalFallbacks counts picks forced local
@@ -425,7 +358,7 @@ type Stats struct {
 	RemoteErrors   uint64 `json:"remote_errors"`
 	LocalFallbacks uint64 `json:"local_fallbacks"`
 	// WarmShards counts shards whose executing replica already held the
-	// variant's fleet in cache — the affinity policy's scoreboard.
+	// variant's fleet in cache — affinity routing's scoreboard.
 	WarmShards uint64      `json:"warm_shards"`
 	ColdShards uint64      `json:"cold_shards"`
 	Peers      []PeerStats `json:"peers"`
@@ -434,7 +367,6 @@ type Stats struct {
 // Stats snapshots the counters.
 func (d *Dispatcher) Stats() Stats {
 	s := Stats{
-		Policy:         string(d.opts.Policy),
 		Self:           d.opts.Self,
 		ShardsLocal:    d.shardsLocal.Load(),
 		ShardsRemote:   d.shardsRemote.Load(),
@@ -447,7 +379,6 @@ func (d *Dispatcher) Stats() Stats {
 		s.Peers = append(s.Peers, PeerStats{
 			URL:           m.url,
 			Healthy:       m.healthy.Load(),
-			Load:          m.load.Load(),
 			Probes:        m.probes.Load(),
 			ProbeFailures: m.probeFailures.Load(),
 			Dispatched:    m.dispatched.Load(),

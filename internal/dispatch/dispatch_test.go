@@ -38,10 +38,7 @@ func testExperiment(t *testing.T) core.Experiment {
 func newTestDispatcher(t *testing.T, opts Options, healthy ...bool) *Dispatcher {
 	t.Helper()
 	opts.ProbeInterval = -1
-	d, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := New(opts)
 	t.Cleanup(d.Close)
 	if len(healthy) != len(d.members)-1 {
 		t.Fatalf("got %d health bits for %d peers", len(healthy), len(d.members)-1)
@@ -65,54 +62,10 @@ func TestNewSkipsSelfAndEmptyPeers(t *testing.T) {
 	}
 }
 
-func TestPickRoundRobinRotation(t *testing.T) {
-	d := newTestDispatcher(t, Options{
-		Self:   "http://a:8080",
-		Peers:  []string{"http://b:8080", "http://c:8080"},
-		Policy: PolicyRoundRobin,
-	}, true, true)
-	var got []string
-	for i := 0; i < 6; i++ {
-		got = append(got, d.pick("k", false).name)
-	}
-	want := []string{"http://a:8080", "http://b:8080", "http://c:8080", "http://a:8080", "http://b:8080", "http://c:8080"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pick sequence %v, want %v", got, want)
-		}
-	}
-}
-
-func TestPickLeastLoaded(t *testing.T) {
-	d := newTestDispatcher(t, Options{
-		Self:   "http://a:8080",
-		Peers:  []string{"http://b:8080", "http://c:8080"},
-		Policy: PolicyLeastLoaded,
-	}, true, true)
-
-	// Remote-only keeps the local member (whose live budget reads 0 in
-	// an idle test process) out of the ranking.
-	d.members[1].load.Store(7)
-	d.members[2].load.Store(2)
-	if m := d.pick("k", true); m.name != "http://c:8080" {
-		t.Fatalf("picked %s, want the least-loaded peer c", m.name)
-	}
-	// Ties keep the earlier member, so placement is deterministic.
-	d.members[2].load.Store(7)
-	if m := d.pick("k", true); m.name != "http://b:8080" {
-		t.Fatalf("tie picked %s, want the first-listed peer b", m.name)
-	}
-	// With the idle local member (load 0) as a candidate, local wins.
-	if m := d.pick("k", false); m.name != "http://a:8080" {
-		t.Fatalf("picked %s, want the idle local member", m.name)
-	}
-}
-
 func TestPickAffinityMatchesRendezvous(t *testing.T) {
 	d := newTestDispatcher(t, Options{
-		Self:   "http://a:8080",
-		Peers:  []string{"http://b:8080", "http://c:8080"},
-		Policy: PolicyAffinity,
+		Self:  "http://a:8080",
+		Peers: []string{"http://b:8080", "http://c:8080"},
 	}, true, true)
 	names := []string{"http://a:8080", "http://b:8080", "http://c:8080"}
 	for _, k := range testKeys(64) {
@@ -131,9 +84,8 @@ func TestPickAffinityMatchesRendezvous(t *testing.T) {
 
 func TestPickLocalFallbackWhenAllPeersDown(t *testing.T) {
 	d := newTestDispatcher(t, Options{
-		Self:   "http://a:8080",
-		Peers:  []string{"http://b:8080"},
-		Policy: PolicyAffinity,
+		Self:  "http://a:8080",
+		Peers: []string{"http://b:8080"},
 	}, false)
 	m := d.pick("k", false)
 	if m != d.members[0] {
@@ -149,9 +101,8 @@ func TestPickLocalFallbackWhenAllPeersDown(t *testing.T) {
 
 func TestOwner(t *testing.T) {
 	d := newTestDispatcher(t, Options{
-		Self:   "http://a:8080",
-		Peers:  []string{"http://b:8080"},
-		Policy: PolicyAffinity,
+		Self:  "http://a:8080",
+		Peers: []string{"http://b:8080"},
 	}, true)
 	names := []string{"http://a:8080", "http://b:8080"}
 	sawPeer := false
@@ -170,15 +121,6 @@ func TestOwner(t *testing.T) {
 	}
 	if !sawPeer {
 		t.Fatal("no key owned by the peer — test keys too few")
-	}
-
-	rr := newTestDispatcher(t, Options{
-		Self:   "http://a:8080",
-		Peers:  []string{"http://b:8080"},
-		Policy: PolicyRoundRobin,
-	}, true)
-	if _, self := rr.Owner("k"); !self {
-		t.Fatal("non-affinity policies must always own locally")
 	}
 }
 
@@ -314,11 +256,21 @@ func TestSweepRetryToSurvivor(t *testing.T) {
 	defer dead.Close()
 
 	exp := testExperiment(t)
-	values := []float64{300, 250, 200, 150}
+	// The dead peer's URL carries a random port, so pick the power caps
+	// it owns under rendezvous hashing: affinity must route them to it.
+	var values []float64
+	names := []string{"http://a:8080", dead.URL}
+	for v := 300.0; v >= 100 && len(values) < 4; v-- {
+		if RendezvousOwner(AffinityKey(exp, core.AxisPowerCap, v), names) == dead.URL {
+			values = append(values, v)
+		}
+	}
+	if len(values) < 4 {
+		t.Fatalf("only %d of 201 power caps are owned by the dead peer", len(values))
+	}
 	d := newTestDispatcher(t, Options{
-		Self:   "http://a:8080",
-		Peers:  []string{dead.URL},
-		Policy: PolicyRoundRobin,
+		Self:  "http://a:8080",
+		Peers: []string{dead.URL},
 	}, true)
 
 	got, err := d.Sweep(context.Background(), Job{Exp: exp, Axis: core.AxisPowerCap, Values: values})
@@ -335,7 +287,7 @@ func TestSweepRetryToSurvivor(t *testing.T) {
 		}
 	}
 	if hits.Load() == 0 {
-		t.Fatal("the dead peer was never tried — round-robin should have routed to it")
+		t.Fatal("the dead peer was never tried — affinity should have routed to it")
 	}
 	st := d.Stats()
 	if st.RemoteErrors == 0 {
@@ -364,19 +316,16 @@ func TestProbeEjectReadmit(t *testing.T) {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
-		fmt.Fprint(w, `{"ok":true,"engine":{"budget":{"in_use_interactive":3,"in_use_batch":2}}}`)
+		fmt.Fprint(w, `{"ok":true}`)
 	}))
 	defer healthz.Close()
 
-	d, err := New(Options{
+	d := New(Options{
 		Self:          "http://a:8080",
 		Peers:         []string{healthz.URL},
 		ProbeInterval: -1,
 		ProbeTimeout:  time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer d.Close()
 
 	if d.HealthyPeers() != 0 {
@@ -385,9 +334,6 @@ func TestProbeEjectReadmit(t *testing.T) {
 	d.ProbeNow(context.Background())
 	if d.HealthyPeers() != 1 {
 		t.Fatal("peer must be admitted after a successful probe")
-	}
-	if got := d.members[1].load.Load(); got != 5 {
-		t.Fatalf("probed load = %d, want 5 (3 interactive + 2 batch)", got)
 	}
 
 	ok.Store(false)

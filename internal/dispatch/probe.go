@@ -11,19 +11,11 @@ import (
 // The health prober drives membership: each peer's /v1/healthz is
 // polled on Options.ProbeInterval; a probe that fails (transport
 // error, non-200, ok=false) ejects the peer from the routing candidate
-// set, and the next success readmits it. The same reply feeds the
-// leastloaded policy — the budget occupancy counters under
-// engine.budget are exactly the peer's in-use worker tokens.
+// set, and the next success readmits it.
 
 // probeReply is the slice of a peer's healthz body the prober reads.
 type probeReply struct {
-	OK     bool `json:"ok"`
-	Engine struct {
-		Budget struct {
-			InUseInteractive int `json:"in_use_interactive"`
-			InUseBatch       int `json:"in_use_batch"`
-		} `json:"budget"`
-	} `json:"engine"`
+	OK bool `json:"ok"`
 }
 
 // ProbeNow probes every peer once, synchronously — the prober's tick
@@ -44,7 +36,6 @@ func (d *Dispatcher) probe(ctx context.Context, m *member) {
 		}
 		return
 	}
-	m.load.Store(int64(reply.Engine.Budget.InUseInteractive + reply.Engine.Budget.InUseBatch))
 	if m.healthy.CompareAndSwap(false, true) {
 		m.readmissions.Add(1)
 	}

@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-func TestParsePolicy(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Policy
-		ok   bool
-	}{
-		{"", PolicyAffinity, true},
-		{"affinity", PolicyAffinity, true},
-		{"roundrobin", PolicyRoundRobin, true},
-		{"leastloaded", PolicyLeastLoaded, true},
-		{"random", "", false},
-		{"RoundRobin", "", false},
-	}
-	for _, c := range cases {
-		got, err := ParsePolicy(c.in)
-		if c.ok != (err == nil) {
-			t.Errorf("ParsePolicy(%q) error = %v, want ok=%v", c.in, err, c.ok)
-			continue
-		}
-		if c.ok && got != c.want {
-			t.Errorf("ParsePolicy(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
 // testKeys is a deterministic spread of affinity-key-shaped strings.
 func testKeys(n int) []string {
 	keys := make([]string, n)

@@ -146,9 +146,9 @@ func WithRetry(ctx context.Context, p RetryPolicy) context.Context {
 	return context.WithValue(ctx, retryKey{}, p)
 }
 
-// defaultRetry is the process-default policy (gpuvard -retries /
-// -retry-backoff). Stored behind an atomic pointer so the per-Map read
-// is one load, mutex-free.
+// defaultRetry is the process-default policy (gpuvard -retries).
+// Stored behind an atomic pointer so the per-Map read is one load,
+// mutex-free.
 var defaultRetry atomic.Pointer[RetryPolicy]
 
 // SetRetryPolicy installs the process-default retry policy applied to

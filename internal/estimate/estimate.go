@@ -429,6 +429,10 @@ func (r Request) key(anchorValues []float64) string {
 		r.Axis, r.Extra, anchorValues)
 }
 
+// anchorCount is how many full-simulation anchor runs each calibration
+// performs: the extremes plus the midpoint.
+const anchorCount = 3
+
 // AnchorValues picks the calibration anchors for a value list: the
 // extremes plus evenly spaced interior points in sorted order,
 // deduplicated — a pure function of the value set.
@@ -444,13 +448,12 @@ func AnchorValues(values []float64) []float64 {
 			uniq = append(uniq, v)
 		}
 	}
-	n := anchorCount()
-	if len(uniq) <= n {
+	if len(uniq) <= anchorCount {
 		return append([]float64(nil), uniq...)
 	}
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, uniq[i*(len(uniq)-1)/(n-1)])
+	out := make([]float64, 0, anchorCount)
+	for i := 0; i < anchorCount; i++ {
+		out = append(out, uniq[i*(len(uniq)-1)/(anchorCount-1)])
 	}
 	return out
 }

@@ -32,22 +32,6 @@ func TestAnchorValues(t *testing.T) {
 	}
 }
 
-func TestSetAnchorCountClamps(t *testing.T) {
-	defer anchorCountV.Store(0) // restore the process default for other tests
-	SetAnchorCount(100)
-	if got := anchorCount(); got != 5 {
-		t.Fatalf("anchorCount after SetAnchorCount(100) = %d, want 5", got)
-	}
-	SetAnchorCount(0)
-	if got := anchorCount(); got != 2 {
-		t.Fatalf("anchorCount after SetAnchorCount(0) = %d, want 2", got)
-	}
-	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	if got := AnchorValues(vals); !reflect.DeepEqual(got, []float64{1, 8}) {
-		t.Fatalf("2-anchor AnchorValues = %v, want extremes", got)
-	}
-}
-
 // TestNominalPhysics sanity-checks the closed form against physical
 // expectations: a tighter power cap slows the nominal device, and a
 // hotter facility never speeds it up.

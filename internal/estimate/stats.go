@@ -58,27 +58,3 @@ func Snapshot() Stats {
 		MaxResidual:  maxResidual.load(),
 	}
 }
-
-// anchorCountV holds the configured anchor-run count (default 3:
-// extremes + midpoint). 0 means unset.
-var anchorCountV atomic.Int64
-
-// SetAnchorCount configures how many full-simulation anchor runs each
-// calibration performs, clamped to [2, 5]. More anchors tighten the
-// misfit evidence at the cost of more simulation per cold calibration.
-func SetAnchorCount(n int) {
-	if n < 2 {
-		n = 2
-	}
-	if n > 5 {
-		n = 5
-	}
-	anchorCountV.Store(int64(n))
-}
-
-func anchorCount() int {
-	if n := anchorCountV.Load(); n != 0 {
-		return int(n)
-	}
-	return 3
-}

@@ -15,7 +15,7 @@ import (
 // newReplicaPair boots a peer replica (a real Server behind httptest)
 // and a front replica dispatching to it, with the prober disabled and
 // one synchronous probe run so membership is deterministic.
-func newReplicaPair(t *testing.T, policy string) (front *Server, peerURL string) {
+func newReplicaPair(t *testing.T) (front *Server, peerURL string) {
 	t.Helper()
 	peer := testServer()
 	ts := httptest.NewServer(peer)
@@ -25,7 +25,6 @@ func newReplicaPair(t *testing.T, policy string) (front *Server, peerURL string)
 	front = mustNew(Options{
 		Figures:           figures.Config{Iterations: 2, MLIterations: 2, Runs: 2, SummitFraction: 0.01},
 		Peers:             []string{ts.URL},
-		RoutePolicy:       policy,
 		SelfURL:           "http://front.test:8080",
 		PeerProbeInterval: -1,
 	})
@@ -50,7 +49,7 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 		t.Fatalf("single-process sweep: %d %s", want.Code, want.Body)
 	}
 
-	front, _ := newReplicaPair(t, "roundrobin")
+	front, _ := newReplicaPair(t)
 	req := httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(dispatchSweepBody))
 	req.Header.Set(routeDirectiveHeader, routeRemote) // force every shard onto the peer
 	rr := httptest.NewRecorder()
@@ -77,7 +76,7 @@ func TestDispatchedStreamByteIdentity(t *testing.T) {
 		t.Fatalf("single-process sweep: %d %s", want.Code, want.Body)
 	}
 
-	front, _ := newReplicaPair(t, "affinity")
+	front, _ := newReplicaPair(t)
 	req := httptest.NewRequest("GET", "/v1/stream/sweep?cluster=CloudLab&iterations=2&axis=powercap&values=300,250,200", nil)
 	req.Header.Set(routeDirectiveHeader, routeRemote)
 	rr := httptest.NewRecorder()
@@ -120,7 +119,7 @@ func TestDispatchedJobByteIdentity(t *testing.T) {
 		t.Fatalf("single-process sweep: %d %s", want.Code, want.Body)
 	}
 
-	front, _ := newReplicaPair(t, "roundrobin")
+	front, _ := newReplicaPair(t)
 	rr := doReq(t, front, "POST", "/v1/jobs", `{"kind":"sweep","class":"interactive","sweep":`+jobSweep+`}`)
 	if rr.Code != 202 {
 		t.Fatalf("submit: %d %s", rr.Code, rr.Body)
@@ -184,7 +183,7 @@ func TestRemoteOnlyAllPeersDownAnswers502(t *testing.T) {
 }
 
 func TestStrictAffinityWrongReplica(t *testing.T) {
-	front, peerURL := newReplicaPair(t, "affinity")
+	front, peerURL := newReplicaPair(t)
 
 	// Scan seeds until we find one sweep the peer owns and one this
 	// replica owns — rendezvous hashing guarantees both exist nearby.
@@ -399,11 +398,10 @@ func TestReplicasEndpoint(t *testing.T) {
 		t.Fatal("single-process server must report distributed: false")
 	}
 
-	front, peerURL := newReplicaPair(t, "affinity")
+	front, peerURL := newReplicaPair(t)
 	rr = doReq(t, front, "GET", "/v1/replicas", "")
 	var dist struct {
-		Distributed bool   `json:"distributed"`
-		Policy      string `json:"policy"`
+		Distributed bool `json:"distributed"`
 		Peers       []struct {
 			URL     string `json:"url"`
 			Healthy bool   `json:"healthy"`
@@ -412,8 +410,8 @@ func TestReplicasEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &dist); err != nil {
 		t.Fatal(err)
 	}
-	if !dist.Distributed || dist.Policy != "affinity" {
-		t.Fatalf("replicas = %+v, want distributed affinity", dist)
+	if !dist.Distributed {
+		t.Fatalf("replicas = %+v, want distributed", dist)
 	}
 	if len(dist.Peers) != 1 || dist.Peers[0].URL != peerURL || !dist.Peers[0].Healthy {
 		t.Fatalf("peers = %+v, want the healthy probed peer", dist.Peers)
@@ -421,7 +419,7 @@ func TestReplicasEndpoint(t *testing.T) {
 }
 
 func TestDispatchMetricsExposed(t *testing.T) {
-	front, _ := newReplicaPair(t, "roundrobin")
+	front, _ := newReplicaPair(t)
 	req := httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(dispatchSweepBody))
 	req.Header.Set(routeDirectiveHeader, routeRemote)
 	rr := httptest.NewRecorder()
@@ -450,21 +448,14 @@ func TestDispatchMetricsExposed(t *testing.T) {
 	}
 }
 
-func TestNewRejectsBadRoutePolicy(t *testing.T) {
-	_, err := New(Options{Peers: []string{"http://b:8080"}, RoutePolicy: "fastest"})
-	if err == nil || !strings.Contains(err.Error(), "fastest") {
-		t.Fatalf("err = %v, want unknown-policy error naming the input", err)
-	}
-}
-
 // TestDispatchWarmShardAccounting: the seed axis gives every shard its
 // own fleet (spec+seed), so a first pass is all cold and a re-sweep of
 // the same seeds (under a different response key) is all warm. The
-// affinity-vs-roundrobin warm-ratio comparison lives in the 3-process
-// smoke stage — in-process replicas share one fleet cache, which erases
-// the placement signal this counter exists to surface.
+// 3-process smoke stage asserts affinity's 8/8 warm placements —
+// in-process replicas share one fleet cache, which erases the placement
+// signal this counter exists to surface.
 func TestDispatchWarmShardAccounting(t *testing.T) {
-	front, _ := newReplicaPair(t, "affinity")
+	front, _ := newReplicaPair(t)
 	pass1 := `{"cluster":"CloudLab","iterations":2,"axis":"seed","values":[9911,9912,9913,9914,9915,9916]}`
 	pass2 := `{"cluster":"CloudLab","iterations":2,"runs":2,"axis":"seed","values":[9911,9912,9913,9914,9915,9916]}`
 	for _, body := range []string{pass1, pass2} {

@@ -1,11 +1,8 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"gpuvar/internal/core"
@@ -30,16 +27,8 @@ var estimateSweepRun = core.EstimateSweepCtx
 func estimateCacheKey(r sweepRequest) string { return fmt.Sprintf("estimate|%+v", r) }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSweepBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		return
-	}
 	var req sweepRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: %v", err)
+	if !decodeBody(w, r.Body, maxSweepBody, &req) {
 		return
 	}
 	s.serveEstimate(w, r, &req)
@@ -70,7 +59,7 @@ func (s *Server) serveEstimate(w http.ResponseWriter, r *http.Request, req *swee
 // job path ("kind": "estimate"), so all three serve byte-identical
 // bodies from one cache entry.
 func estimateComputation(req *sweepRequest) (key string, compute func(ctx context.Context) (*cachedResponse, error), status int, err error) {
-	exp, axis, status, err := normalizeEstimate(req)
+	exp, axis, status, err := normalizeSweep(req, tierEstimate)
 	if err != nil {
 		return "", nil, status, err
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -164,7 +165,9 @@ func parseExperiment(r *http.Request) (experimentRequest, core.Experiment, int, 
 	req.Iterations = wl.Iterations
 	if v := q.Get("cap"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
+		// !(f >= 0) so NaN fails with the negatives; +Inf parses too, and
+		// neither may reach a JSON body.
+		if err != nil || !(f >= 0) || math.IsInf(f, 1) {
 			return req, core.Experiment{}, http.StatusBadRequest, fmt.Errorf("bad cap %q", v)
 		}
 		req.AdminCapW = f

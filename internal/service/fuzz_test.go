@@ -17,20 +17,10 @@ package service
 //     the response cache's coalescing correctness rests on).
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"gpuvar/internal/core"
 )
-
-// decodeStrict mirrors the handlers' decoding: DisallowUnknownFields
-// over the raw body.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
 
 // FuzzSweepRequest fuzzes POST /v1/sweep's body through the same
 // decode + normalize path the handler uses, including the variant-axis
@@ -70,7 +60,7 @@ func FuzzSweepRequest(f *testing.F) {
 		if decodeStrict(body, &req) != nil {
 			return // handler answers 400 before normalization
 		}
-		_, axis, status, err := normalizeSweep(&req)
+		_, axis, status, err := normalizeSweep(&req, tierSimulate)
 		if err != nil {
 			if status < 400 || status > 499 {
 				t.Errorf("normalizeSweep error %v carries status %d, want a 4xx client error", err, status)
@@ -108,7 +98,7 @@ func FuzzSweepRequest(f *testing.F) {
 		// Idempotence: the normalized form is a fixed point with a
 		// stable fingerprint.
 		again := req
-		if _, axis2, _, err2 := normalizeSweep(&again); err2 != nil || axis2 != axis {
+		if _, axis2, _, err2 := normalizeSweep(&again, tierSimulate); err2 != nil || axis2 != axis {
 			t.Errorf("re-normalizing the normalized request failed: axis %q, %v", axis2, err2)
 		}
 		if sweepCacheKey(again) != sweepCacheKey(req) {
@@ -193,7 +183,7 @@ func TestFuzzSeedsAreValidJSONCoverage(t *testing.T) {
 	if err := decodeStrict([]byte(`{"cluster":"CloudLab","axis":"powercap","values":[300,250,200]}`), &req); err != nil {
 		t.Fatal(err)
 	}
-	if _, axis, _, err := normalizeSweep(&req); err != nil || axis != core.AxisPowerCap {
+	if _, axis, _, err := normalizeSweep(&req, tierSimulate); err != nil || axis != core.AxisPowerCap {
 		t.Fatalf("canonical seed fails normalization: %v", err)
 	}
 	var env jobRequest

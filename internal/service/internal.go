@@ -1,12 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"gpuvar/internal/dispatch"
@@ -79,29 +76,19 @@ func (s *Server) handleInternalShards(w http.ResponseWriter, r *http.Request) {
 			dispatch.ShardsPath, dispatch.InternalHeader)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSweepBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		return
-	}
 	var sreq dispatch.ShardsRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sreq); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: %v", err)
+	if !decodeBody(w, r.Body, maxSweepBody, &sreq) {
 		return
 	}
 	var req sweepRequest
-	dec = json.NewDecoder(bytes.NewReader(sreq.Sweep))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(sreq.Sweep, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "decoding sweep payload: %v", err)
 		return
 	}
 	// The dispatching replica sends its normalized request; normalization
 	// is idempotent (the fingerprint-stability contract the fuzz targets
 	// pin), so re-normalizing here just re-derives the experiment.
-	exp, axis, status, err := normalizeSweep(&req)
+	exp, axis, status, err := normalizeSweep(&req, tierSimulate)
 	if err != nil {
 		writeError(w, status, errCode(err, status), "%v", err)
 		return

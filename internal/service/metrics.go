@@ -178,7 +178,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sample("gpuvar_estimate_max_calibration_residual", "", est.MaxResidual)
 
 	// Replica dispatch (absent in single-process serving). The warm/cold
-	// split is the affinity policy's scoreboard: warm shards landed on a
+	// split is affinity routing's scoreboard: warm shards landed on a
 	// replica whose fleet cache already held their fleet.
 	if d := snap.Dispatch; d != nil {
 		family("gpuvar_dispatch_shards_total", "counter", "Dispatched sweep shards by where they executed.")
@@ -205,7 +205,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			return 0
 		})
-		perPeer("gpuvar_dispatch_peer_load", "gauge", "Peer worker-budget occupancy at its last successful probe.", func(p dispatch.PeerStats) float64 { return float64(p.Load) })
 		perPeer("gpuvar_dispatch_peer_dispatched_total", "counter", "Shards dispatched per peer.", func(p dispatch.PeerStats) float64 { return float64(p.Dispatched) })
 		perPeer("gpuvar_dispatch_peer_probe_failures_total", "counter", "Failed health probes per peer.", func(p dispatch.PeerStats) float64 { return float64(p.ProbeFailures) })
 		perPeer("gpuvar_dispatch_peer_ejections_total", "counter", "Times each peer left the routing candidate set.", func(p dispatch.PeerStats) float64 { return float64(p.Ejections) })

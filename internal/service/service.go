@@ -89,6 +89,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -117,10 +118,6 @@ type Options struct {
 	Figures figures.Config
 	// ResponseCacheSize bounds the rendered-response LRU (default 256).
 	ResponseCacheSize int
-	// SessionCacheSize bounds the number of live figure sessions, one
-	// per distinct config (default 4). Sessions hold experiment results,
-	// so this is the server's main memory knob.
-	SessionCacheSize int
 	// RequestTimeout bounds each request's computation (default 30s;
 	// negative disables). The deadline composes with the client's own
 	// context, so a disconnect aborts even earlier.
@@ -166,21 +163,12 @@ type Options struct {
 	// JournalSync selects the journal's fsync policy (default
 	// jobs.SyncTerminal). Only meaningful with DataDir.
 	JournalSync jobs.SyncPolicy
-	// EstimateAnchors sets how many full-simulation anchor runs each
-	// estimator calibration performs (clamped to [2, 5]; 0 keeps the
-	// process default of 3). The setting is process-wide: the
-	// calibrator, like the fleet cache, is shared state.
-	EstimateAnchors int
 	// Peers lists sibling gpuvard replicas' base URLs. Non-empty turns
-	// on distributed dispatch: plain sweep shards route across the
-	// replica set under RoutePolicy, with health-probe-driven eject/
+	// on distributed dispatch: plain sweep shards rendezvous-hash their
+	// fleet fingerprint across the replica set, so repeat variants land
+	// where the fleet cache is warm, with health-probe-driven eject/
 	// readmit and graceful local fallback (see internal/dispatch).
 	Peers []string
-	// RoutePolicy selects the shard-routing policy: "roundrobin",
-	// "leastloaded", or "affinity" (the default — rendezvous-hash the
-	// shard's fleet fingerprint so repeat variants land where the fleet
-	// cache is warm). Only meaningful with Peers.
-	RoutePolicy string
 	// SelfURL is this replica's advertised base URL — its name in the
 	// rendezvous hash. Set it to the same string the peers' -peers
 	// lists use, so the whole fleet agrees on affinity owners.
@@ -232,9 +220,6 @@ func New(opts Options) (*Server, error) {
 	if opts.ResponseCacheSize <= 0 {
 		opts.ResponseCacheSize = 256
 	}
-	if opts.SessionCacheSize <= 0 {
-		opts.SessionCacheSize = 4
-	}
 	if opts.RequestTimeout == 0 {
 		opts.RequestTimeout = 30 * time.Second
 	}
@@ -256,14 +241,11 @@ func New(opts Options) (*Server, error) {
 	if opts.JobTTL == 0 {
 		opts.JobTTL = 10 * time.Minute
 	}
-	if opts.EstimateAnchors > 0 {
-		estimate.SetAnchorCount(opts.EstimateAnchors)
-	}
 	opts.Figures = opts.Figures.Normalized()
 	s := &Server{
 		opts:     opts,
 		cache:    newResultCache(opts.ResponseCacheSize),
-		sessions: newSessionPool(opts.SessionCacheSize),
+		sessions: newSessionPool(),
 		jobs: jobs.New[*cachedResponse](jobs.Options{
 			MaxRunning:         opts.MaxRunningJobs,
 			MaxQueuedBatch:     opts.MaxQueuedJobs,
@@ -298,21 +280,12 @@ func New(opts Options) (*Server, error) {
 		s.recorder = rec
 	}
 	if len(opts.Peers) > 0 {
-		pol, err := dispatch.ParsePolicy(opts.RoutePolicy)
-		if err != nil {
-			return nil, err
-		}
-		d, err := dispatch.New(dispatch.Options{
+		s.dispatcher = dispatch.New(dispatch.Options{
 			Self:          opts.SelfURL,
 			Peers:         opts.Peers,
-			Policy:        pol,
 			ProbeInterval: opts.PeerProbeInterval,
 		})
-		if err != nil {
-			return nil, err
-		}
-		s.dispatcher = d
-		d.Start()
+		s.dispatcher.Start()
 	}
 	// Routes register from the same table the GET /v1/ discovery
 	// document renders, so the served surface and its self-description
@@ -534,6 +507,31 @@ func writeError(w http.ResponseWriter, status int, code string, format string, a
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...), Code: code})
+}
+
+// decodeBody decodes one JSON value from the first limit bytes of a
+// request body into v, rejecting unknown fields: a typoed knob must
+// fail, not be silently ignored. On failure it answers 400 bad_request
+// and reports false.
+func decodeBody(w http.ResponseWriter, body io.Reader, limit int64, v any) bool {
+	data, err := io.ReadAll(io.LimitReader(body, limit))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
+		return false
+	}
+	if err := decodeStrict(data, v); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: %v", err)
+		return false
+	}
+	return true
+}
+
+// decodeStrict decodes one JSON value from data, rejecting unknown
+// fields.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // codeForStatus maps an HTTP status to its default error code, for
@@ -801,7 +799,7 @@ func (s *Server) figureConfig(r *http.Request) (figures.Config, error) {
 	}
 	if v := q.Get("summit_fraction"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 || f > 1 {
+		if err != nil || !(f > 0 && f <= 1) { // written so NaN fails too
 			return cfg, fmt.Errorf("bad summit_fraction %q: want 0 < f <= 1", v)
 		}
 		cfg.SummitFraction = f
@@ -906,7 +904,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // session re-runs experiments but never re-instantiates fleets.
 type sessionPool struct {
 	mu    sync.Mutex
-	max   int
 	ll    *list.List               // front = most recently used
 	byKey map[string]*list.Element // key → element holding *sessionSlot
 }
@@ -916,11 +913,12 @@ type sessionSlot struct {
 	session *figures.Session
 }
 
-func newSessionPool(max int) *sessionPool {
-	if max < 1 {
-		max = 1
-	}
-	return &sessionPool{max: max, ll: list.New(), byKey: make(map[string]*list.Element)}
+// sessionCacheSize bounds the live figure sessions, one per distinct
+// config.
+const sessionCacheSize = 4
+
+func newSessionPool() *sessionPool {
+	return &sessionPool{ll: list.New(), byKey: make(map[string]*list.Element)}
 }
 
 // get returns the session for a normalized config, creating (and
@@ -936,7 +934,7 @@ func (p *sessionPool) get(cfg figures.Config) *figures.Session {
 	}
 	slot := &sessionSlot{key: key, session: figures.NewSession(cfg)}
 	p.byKey[key] = p.ll.PushFront(slot)
-	for p.ll.Len() > p.max {
+	for p.ll.Len() > sessionCacheSize {
 		tail := p.ll.Back()
 		p.ll.Remove(tail)
 		delete(p.byKey, tail.Value.(*sessionSlot).key)

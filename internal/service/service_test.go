@@ -66,6 +66,7 @@ func TestRoutes(t *testing.T) {
 		{"figure unknown id", "GET", "/v1/figures/fig99", "", 404, "unknown figure id"},
 		{"figure bad seed", "GET", "/v1/figures/tab1?seed=x", "", 400, "bad seed"},
 		{"figure bad fraction", "GET", "/v1/figures/tab1?summit_fraction=2", "", 400, "summit_fraction"},
+		{"figure NaN fraction", "GET", "/v1/figures/tab1?summit_fraction=NaN", "", 400, "summit_fraction"},
 		{"figure wrong method", "DELETE", "/v1/figures/tab1", "", 405, ""},
 		{"experiment ok", "GET", "/v1/experiments/sgemm?cluster=CloudLab&iterations=2", "", 200, `"summary"`},
 		{"experiment groups", "GET", "/v1/experiments/sgemm?cluster=CloudLab&iterations=2&detail=groups", "", 200, `"groups"`},
@@ -74,6 +75,8 @@ func TestRoutes(t *testing.T) {
 		{"experiment unknown cluster", "GET", "/v1/experiments/sgemm?cluster=Atlantis", "", 404, "unknown cluster"},
 		{"experiment bad fraction", "GET", "/v1/experiments/sgemm?cluster=CloudLab&fraction=0", "", 400, "bad fraction"},
 		{"experiment bad runs", "GET", "/v1/experiments/sgemm?cluster=CloudLab&runs=-1", "", 400, "bad runs"},
+		{"experiment NaN cap", "GET", "/v1/experiments/sgemm?cluster=CloudLab&cap=NaN", "", 400, `"code":"bad_request"`},
+		{"experiment Inf cap", "GET", "/v1/experiments/sgemm?cluster=CloudLab&cap=Inf", "", 400, "bad cap"},
 		{"experiment bad detail", "GET", "/v1/experiments/sgemm?cluster=CloudLab&detail=everything", "", 400, "bad detail"},
 		{"experiment wrong method", "POST", "/v1/experiments/sgemm", "", 405, ""},
 		{"campaign ok", "POST", "/v1/campaign", campaignBody, 200, `"detection_day"`},

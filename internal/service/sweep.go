@@ -1,12 +1,10 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -114,16 +112,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSweepBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-		return
-	}
 	var req sweepRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding body: %v", err)
+	if !decodeBody(w, r.Body, maxSweepBody, &req) {
 		return
 	}
 	key, compute, status, err := sweepComputation(&req)
@@ -188,7 +178,7 @@ func renderSweep(req sweepRequest, axis core.VariantAxis, marked bool, points []
 // the synchronous handler and the async job path, which is what makes
 // a job's result byte-identical to the held-connection response.
 func sweepComputation(req *sweepRequest) (key string, compute func(ctx context.Context) (*cachedResponse, error), status int, err error) {
-	exp, axis, status, err := normalizeSweep(req)
+	exp, axis, status, err := normalizeSweep(req, tierSimulate)
 	if err != nil {
 		return "", nil, status, err
 	}
@@ -321,51 +311,41 @@ func parseFloatList(s string) ([]float64, error) {
 	return out, nil
 }
 
-// normalizeSweep validates the request, resolves names, folds
-// adaptive+threshold-0 onto the plain sweep, and fills every defaulted
-// field so the struct is a canonical fingerprint.
-func normalizeSweep(req *sweepRequest) (core.Experiment, core.VariantAxis, int, error) {
-	if err := normalizeAdaptive(req); err != nil {
-		return core.Experiment{}, "", http.StatusBadRequest, err
-	}
-	limit, tier := maxSweepVariants, "full-simulation"
-	if req.Adaptive {
-		limit, tier = maxEstimateVariants, "adaptive"
-	}
-	return normalizeSweepBounded(req, limit, tier)
-}
+// sweepTier is the surface a sweep-shaped request arrives on. It
+// decides the variant cap and whether the adaptive knobs apply.
+type sweepTier int
 
-// normalizeEstimate is normalizeSweep for /v1/estimate: the wider
-// estimator cap applies, and the adaptive knobs are rejected — every
-// point of an estimate is estimated, so there is nothing to adapt.
-func normalizeEstimate(req *sweepRequest) (core.Experiment, core.VariantAxis, int, error) {
-	if req.Adaptive || req.Threshold != 0 {
-		return core.Experiment{}, "", http.StatusBadRequest,
-			fmt.Errorf("adaptive/threshold do not apply to /v1/estimate (every point is estimated); use POST /v1/sweep for adaptive sweeps")
-	}
-	return normalizeSweepBounded(req, maxEstimateVariants, "estimator")
-}
+const (
+	// tierSimulate is POST /v1/sweep and its stream, job, and internal
+	// shard spellings: every value simulated, or pre-screened when
+	// adaptive.
+	tierSimulate sweepTier = iota
+	// tierEstimate is /v1/estimate: every value estimated, under the
+	// wider estimator cap.
+	tierEstimate
+)
 
-// normalizeAdaptive canonicalizes the adaptive knobs. Zero threshold
-// means zero tolerance — every point must be exact, which IS the plain
-// sweep — so adaptive+threshold-0 folds onto the non-adaptive spelling
-// (one cache entry, byte-identical bodies). A threshold without
-// adaptive is a contradiction worth a 400, not a silent ignore.
-func normalizeAdaptive(req *sweepRequest) error {
-	t := req.Threshold
-	if math.IsNaN(t) || t < 0 || t > 1 {
-		return fmt.Errorf("bad threshold %v: want a relative tolerance in [0, 1]", t)
+// normalizeSweep validates the request for its tier, resolves names,
+// folds adaptive+threshold-0 onto the plain sweep, and fills every
+// defaulted field so the struct is a canonical fingerprint.
+func normalizeSweep(req *sweepRequest, tier sweepTier) (core.Experiment, core.VariantAxis, int, error) {
+	limit, tierName := maxSweepVariants, "full-simulation"
+	if tier == tierEstimate {
+		// Every point of an estimate is estimated, so there is nothing
+		// to adapt.
+		if req.Adaptive || req.Threshold != 0 {
+			return core.Experiment{}, "", http.StatusBadRequest,
+				fmt.Errorf("adaptive/threshold do not apply to /v1/estimate (every point is estimated); use POST /v1/sweep for adaptive sweeps")
+		}
+		limit, tierName = maxEstimateVariants, "estimator"
+	} else {
+		if err := normalizeAdaptive(req); err != nil {
+			return core.Experiment{}, "", http.StatusBadRequest, err
+		}
+		if req.Adaptive {
+			limit, tierName = maxEstimateVariants, "adaptive"
+		}
 	}
-	if !req.Adaptive && t != 0 {
-		return fmt.Errorf("threshold requires adaptive: true")
-	}
-	if req.Adaptive && t == 0 {
-		req.Adaptive = false
-	}
-	return nil
-}
-
-func normalizeSweepBounded(req *sweepRequest, limit int, tier string) (core.Experiment, core.VariantAxis, int, error) {
 	if req.Axis == "" {
 		req.Axis = string(core.AxisPowerCap)
 	}
@@ -380,7 +360,7 @@ func normalizeSweepBounded(req *sweepRequest, limit int, tier string) (core.Expe
 	if len(req.Values) > limit {
 		return core.Experiment{}, "", http.StatusBadRequest, withCode("bad_values",
 			fmt.Errorf("values has %d variants, over the %s limit of %d (plain sweeps simulate every value, max %d; /v1/estimate and adaptive sweeps accept up to %d)",
-				len(req.Values), tier, limit, maxSweepVariants, maxEstimateVariants))
+				len(req.Values), tierName, limit, maxSweepVariants, maxEstimateVariants))
 	}
 	for _, v := range req.Values {
 		if err := axis.Validate(v); err != nil {
@@ -427,4 +407,23 @@ func normalizeSweepBounded(req *sweepRequest, limit int, tier string) (core.Expe
 		Fraction: req.Fraction,
 		Runs:     req.Runs,
 	}, axis, 0, nil
+}
+
+// normalizeAdaptive canonicalizes the adaptive knobs. Zero threshold
+// means zero tolerance — every point must be exact, which IS the plain
+// sweep — so adaptive+threshold-0 folds onto the non-adaptive spelling
+// (one cache entry, byte-identical bodies). A threshold without
+// adaptive is a contradiction worth a 400, not a silent ignore.
+func normalizeAdaptive(req *sweepRequest) error {
+	t := req.Threshold
+	if math.IsNaN(t) || t < 0 || t > 1 {
+		return fmt.Errorf("bad threshold %v: want a relative tolerance in [0, 1]", t)
+	}
+	if !req.Adaptive && t != 0 {
+		return fmt.Errorf("threshold requires adaptive: true")
+	}
+	if req.Adaptive && t == 0 {
+		req.Adaptive = false
+	}
+	return nil
 }

@@ -31,6 +31,7 @@ run staticcheck
 run test
 run cover-floor
 run fuzz-smoke
+run perfbench
 run bench-smoke
 run bench-compare
 echo "verify: all stages passed"
